@@ -189,9 +189,14 @@ int RunDeterminism(FleetFixture* fixture, size_t tenants, int rounds,
   for (int r = 0; r < cut; ++r) {
     if (!first.StepRound().ok()) return 1;
   }
-  FleetCheckpoint checkpoint = first.Checkpoint();
+  Result<FleetCheckpoint> checkpoint = first.Checkpoint();
+  if (!checkpoint.ok()) {
+    std::fprintf(stderr, "FAIL: fleet checkpoint failed: %s\n",
+                 checkpoint.status().ToString().c_str());
+    return 1;
+  }
   SessionFleet resumed(MakeConfig(rounds, 2), fixture->BuildSpecs(tenants));
-  if (!resumed.Restore(checkpoint).ok()) {
+  if (!resumed.Restore(*checkpoint).ok()) {
     std::fprintf(stderr, "FAIL: fleet restore failed\n");
     return 1;
   }

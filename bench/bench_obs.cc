@@ -242,9 +242,8 @@ int RunIdentity(const ObsFixture& fixture, size_t tenants, int rounds,
   }
   const uint64_t total_rounds =
       static_cast<uint64_t>(tenants) * static_cast<uint64_t>(rounds);
-  if (obs::kEnabled &&
-      (on.trace_dropped != 0 || on.trace_starts != total_rounds ||
-       on.trace_ends != total_rounds)) {
+  if (on.trace_dropped != 0 || on.trace_starts != total_rounds ||
+      on.trace_ends != total_rounds) {
     std::fprintf(stderr,
                  "FAIL: trace ring incomplete (%llu starts, %llu ends, "
                  "%llu dropped; want %llu/%llu/0)\n",
@@ -427,9 +426,6 @@ int main(int argc, char** argv) {
 
   bench::BenchReporter reporter("obs", flags);
   ObsFixture fixture;
-
-  std::printf("observability compiled %s (ITRIM_OBS=%d)\n",
-              obs::kEnabled ? "in" : "out", obs::kEnabled ? 1 : 0);
 
   if (RunIdentity(fixture, smoke ? 16 : 48, smoke ? 3 : 4, &reporter) != 0) {
     return 1;

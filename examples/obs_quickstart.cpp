@@ -4,9 +4,7 @@
 // and fleets record into preallocated metric slots and a fixed-capacity
 // trace ring, and a scraper merges those atomics into a snapshot whenever it
 // likes. Nothing here reads back into the game — the instrumented run below
-// produces the same bytes it would produce with no sinks attached (and the
-// whole layer compiles out under -DITRIM_OBS=OFF; this program still builds
-// and runs there, it just scrapes zeros).
+// produces the same bytes it would produce with no sinks attached.
 //
 // Here: an 8-tenant scalar fleet with a fleet-level slot, one shared
 // session-level slot, and a trace ring attached; a ScrapeSampler polling in
@@ -21,7 +19,6 @@
 #include "common/rng.h"
 #include "fleet/session_fleet.h"
 #include "game/kernels.h"
-#include "game/public_board.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/sampler.h"
@@ -56,7 +53,6 @@ int main() {
   // they are attached to.
   obs::MetricsRegistry registry;
   registry.SetInfo("kernel", kernels::VariantName(kernels::ActiveVariant()));
-  registry.SetInfo("board", BoardBackendName(specs[0].game.board_backend));
   obs::MetricSlot* fleet_slot = registry.AddSlot("fleet");
   obs::MetricSlot* session_slot = registry.AddSlot("sessions");
   obs::TraceBuffer trace(/*capacity=*/256);

@@ -31,6 +31,15 @@ Status TenantStatus(size_t index, const std::string& name,
   return Status::WithCode(status.code(), std::move(msg));
 }
 
+// The refusal every lockstep-only call (StepRound, Checkpoint, Restore)
+// returns once the fleet has switched to per-tenant stepping.
+Status LockstepOnly(const char* call) {
+  return Status::FailedPrecondition(
+      std::string(call) +
+      " is lockstep-only but the fleet is in per-tenant stepping mode "
+      "(re-Bootstrap() to return to lockstep)");
+}
+
 // In-place p10/p50/p90: sorts `values` and interpolates exactly like
 // Quantiles(values, {0.10, 0.50, 0.90}) (same sort, same QuantileSorted
 // arithmetic — bit-identical), but without the copy and the result-vector
@@ -203,13 +212,8 @@ Result<FleetRoundAggregate> SessionFleet::StepRound() {
   if (!bootstrapped_) {
     return Status::FailedPrecondition("fleet is not bootstrapped");
   }
-  if (per_tenant_mode_) {
-    return Status::FailedPrecondition(
-        "fleet is in per-tenant stepping mode; lockstep rounds are "
-        "unavailable (re-Bootstrap() to return to lockstep)");
-  }
-  const int64_t obs_t0 =
-      (obs::kEnabled && obs_slot_ != nullptr) ? obs::MonotonicNowNs() : 0;
+  if (per_tenant_mode_) return LockstepOnly("StepRound()");
+  const int64_t obs_t0 = obs_slot_ != nullptr ? obs::MonotonicNowNs() : 0;
   const size_t n = tenants_.size();
   step_records_.resize(n);
   step_statuses_.resize(n);
@@ -248,25 +252,23 @@ Result<FleetRoundAggregate> SessionFleet::StepRound() {
   FleetRoundAggregate aggregate = ReduceRound(next_round_, step_records_);
   round_aggregates_.push_back(aggregate);
   ++next_round_;
-  if constexpr (obs::kEnabled) {
-    if (obs_slot_ != nullptr) {
-      obs::MetricSlot& m = *obs_slot_;
-      m.Observe(obs::Histogram::kFleetRoundWallUs,
-                static_cast<double>(obs::MonotonicNowNs() - obs_t0) / 1000.0);
-      m.Set(obs::Gauge::kFleetRound, static_cast<double>(aggregate.round));
-      m.Set(obs::Gauge::kFleetTrimRateP10, aggregate.tenant_trim_rate.p10);
-      m.Set(obs::Gauge::kFleetTrimRateP50, aggregate.tenant_trim_rate.p50);
-      m.Set(obs::Gauge::kFleetTrimRateP90, aggregate.tenant_trim_rate.p90);
-      m.Set(obs::Gauge::kFleetPoisonAcceptP10,
-            aggregate.tenant_poison_acceptance.p10);
-      m.Set(obs::Gauge::kFleetPoisonAcceptP50,
-            aggregate.tenant_poison_acceptance.p50);
-      m.Set(obs::Gauge::kFleetPoisonAcceptP90,
-            aggregate.tenant_poison_acceptance.p90);
-      m.Set(obs::Gauge::kFleetQualityP10, aggregate.tenant_quality.p10);
-      m.Set(obs::Gauge::kFleetQualityP50, aggregate.tenant_quality.p50);
-      m.Set(obs::Gauge::kFleetQualityP90, aggregate.tenant_quality.p90);
-    }
+  if (obs_slot_ != nullptr) {
+    obs::MetricSlot& m = *obs_slot_;
+    m.Observe(obs::Histogram::kFleetRoundWallUs,
+              static_cast<double>(obs::MonotonicNowNs() - obs_t0) / 1000.0);
+    m.Set(obs::Gauge::kFleetRound, static_cast<double>(aggregate.round));
+    m.Set(obs::Gauge::kFleetTrimRateP10, aggregate.tenant_trim_rate.p10);
+    m.Set(obs::Gauge::kFleetTrimRateP50, aggregate.tenant_trim_rate.p50);
+    m.Set(obs::Gauge::kFleetTrimRateP90, aggregate.tenant_trim_rate.p90);
+    m.Set(obs::Gauge::kFleetPoisonAcceptP10,
+          aggregate.tenant_poison_acceptance.p10);
+    m.Set(obs::Gauge::kFleetPoisonAcceptP50,
+          aggregate.tenant_poison_acceptance.p50);
+    m.Set(obs::Gauge::kFleetPoisonAcceptP90,
+          aggregate.tenant_poison_acceptance.p90);
+    m.Set(obs::Gauge::kFleetQualityP10, aggregate.tenant_quality.p10);
+    m.Set(obs::Gauge::kFleetQualityP50, aggregate.tenant_quality.p50);
+    m.Set(obs::Gauge::kFleetQualityP90, aggregate.tenant_quality.p90);
   }
   return aggregate;
 }
@@ -277,7 +279,8 @@ Status SessionFleet::AttachTenantObservability(size_t i,
     return Status::FailedPrecondition("fleet is not bootstrapped");
   }
   if (i >= tenants_.size()) {
-    return Status::InvalidArgument("tenant index out of range");
+    return Status::OutOfRange("tenant index " + std::to_string(i) +
+                              " out of range");
   }
   tenants_[i].obs = sinks;
   if (tenants_[i].resident()) {
@@ -325,10 +328,11 @@ FleetSummary SessionFleet::Finish() const {
   return summary;
 }
 
-FleetCheckpoint SessionFleet::Checkpoint() const {
-  assert(bootstrapped_ && "Checkpoint() before Bootstrap()");
-  assert(!per_tenant_mode_ &&
-         "fleet checkpoints are lockstep-only (sessions at one round)");
+Result<FleetCheckpoint> SessionFleet::Checkpoint() const {
+  if (!bootstrapped_) {
+    return Status::FailedPrecondition("fleet is not bootstrapped");
+  }
+  if (per_tenant_mode_) return LockstepOnly("Checkpoint()");
   FleetCheckpoint checkpoint;
   checkpoint.next_round = next_round_;
   checkpoint.sessions.reserve(tenants_.size());
@@ -344,6 +348,7 @@ Status SessionFleet::Restore(const FleetCheckpoint& checkpoint) {
   // mutable state — a truncated or corrupt checkpoint is rejected while
   // the fleet's current stream (if any) remains live and steppable. Only
   // a checkpoint that passes every check reaches the mutation phase.
+  if (per_tenant_mode_) return LockstepOnly("Restore()");
   ITRIM_RETURN_NOT_OK(config_.Validate());
   if (specs_.empty()) {
     return Status::InvalidArgument("fleet needs at least one tenant");

@@ -132,8 +132,9 @@ class SessionFleet {
   FleetSummary Finish() const;
 
   /// \brief Captures the lockstep round counter and every session's
-  /// checkpoint. Requires a successful Bootstrap() and lockstep mode.
-  FleetCheckpoint Checkpoint() const;
+  /// checkpoint. FailedPrecondition before a successful Bootstrap() and in
+  /// per-tenant mode.
+  Result<FleetCheckpoint> Checkpoint() const;
 
   /// \brief Resumes from a checkpoint of an identically configured fleet;
   /// subsequent StepRounds are bit-identical to the original stream.
@@ -143,6 +144,7 @@ class SessionFleet {
   /// fleet's specs) is validated *before* any session is touched, so a
   /// truncated or corrupt checkpoint is rejected with the fleet's current
   /// state — including a live, steppable stream — fully intact.
+  /// FailedPrecondition in per-tenant mode.
   Status Restore(const FleetCheckpoint& checkpoint);
 
   // -- Arrival-driven (per-tenant) stepping --------------------------------
@@ -198,8 +200,8 @@ class SessionFleet {
 
   /// \brief Attaches per-tenant session sinks (survives hibernation: the
   /// sinks are persisted on the Tenant and re-attached on rehydration).
-  /// Requires a bootstrapped fleet and a valid index. Default-constructed
-  /// sinks detach.
+  /// Requires a bootstrapped fleet; OutOfRange for a bad index.
+  /// Default-constructed sinks detach.
   Status AttachTenantObservability(size_t i, const SessionObs& sinks);
 
   /// \brief True when the fleet is in per-tenant stepping mode.

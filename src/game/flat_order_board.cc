@@ -17,7 +17,7 @@ namespace {
 // tail count is exactly kernels::CountGreater, which sweeps the <= 64
 // contiguous doubles branchlessly (vectorized when the CPU allows) — faster
 // in practice than a branchy binary search at this width. NaN is handled by
-// the callers (treap semantics: NaN inserts leftmost, never matches).
+// the callers (NaN inserts leftmost and never matches).
 size_t UpperBoundInLeaf(const double* values, size_t n, double value) {
   return n - kernels::CountGreater(values, n, value);
 }
@@ -45,9 +45,8 @@ uint32_t FlatOrderBoard::AllocLeaf() {
 
 size_t FlatOrderBoard::FindInsertLeaf(double value) const {
   // First leaf whose max key is > value (NaN value: every comparison is
-  // false, so this is position 0 — the new NaN lands leftmost, as in the
-  // treap). When every leaf max is <= value the last leaf absorbs the
-  // append.
+  // false, so this is position 0 — the new NaN lands leftmost). When every
+  // leaf max is <= value the last leaf absorbs the append.
   const double* begin = max_key_.data();
   const double* end = begin + max_key_.size();
   const double* it = std::partition_point(
@@ -92,7 +91,7 @@ void FlatOrderBoard::Insert(double value) {
   }
   Leaf& leaf = pool_[order_[pos]];
   const size_t idx = std::isnan(value)
-                         ? 0  // treap Split: nothing compares <= NaN
+                         ? 0  // nothing compares <= NaN: leftmost
                          : UpperBoundInLeaf(leaf.values, leaf.n, value);
   std::memmove(leaf.values + idx + 1, leaf.values + idx,
                (leaf.n - idx) * sizeof(double));
@@ -254,8 +253,8 @@ double FlatOrderBoard::Kth(size_t k) const {
 
 size_t FlatOrderBoard::CountLessEqual(double x) const {
   if (total_ == 0) return 0;
-  // NaN probe: !(v > NaN) holds for every v, matching the treap and
-  // std::upper_bound over the sorted oracle.
+  // NaN probe: !(v > NaN) holds for every v, matching std::upper_bound
+  // over the sorted oracle.
   if (std::isnan(x)) return total_;
   // Leaves with max <= x count wholesale; the single straddling leaf (its
   // successor's min is >= this leaf's max > x) contributes its non-greater
@@ -278,9 +277,8 @@ Result<double> FlatOrderBoard::Quantile(double q) const {
   if (n == 0) {
     return Status::FailedPrecondition("flat order board is empty");
   }
-  // Literal transcription of QuantileSorted() with Kth() lookups — the
-  // same lines as IndexedBoard::Quantile, so the backends are
-  // bit-identical by construction.
+  // Literal transcription of QuantileSorted() with Kth() lookups, so the
+  // board is bit-identical to the sorted oracle by construction.
   q = Clamp(q, 0.0, 1.0);
   if (n == 1) return Kth(0);
   double pos = q * static_cast<double>(n) - 0.5;

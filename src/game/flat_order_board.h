@@ -1,11 +1,10 @@
 // Flat, cache-local order statistics for the public board.
 //
-// IndexedBoard (the size-augmented treap) made every board operation
+// A pointer-based order-statistic tree makes every board operation
 // O(log n), but each of those log n steps is a dependent pointer chase into
-// a 32-byte node scattered across a multi-megabyte arena — at board size
-// 100k the traversal works a ~3 MB set and nearly every level misses cache.
-// FlatOrderBoard keeps the same multiset in a B-tree-style flat layout
-// instead:
+// a node scattered across a multi-megabyte arena — at board size 100k the
+// traversal works a ~3 MB set and nearly every level misses cache.
+// FlatOrderBoard keeps the multiset in a B-tree-style flat layout instead:
 //
 //   * values live in sorted *leaves* of up to kLeafCapacity (64) doubles —
 //     one or two cache lines of contiguous payload per touched leaf;
@@ -22,18 +21,16 @@
 // ≤ 64-double leaf), and a small memmove. Leaves split at kLeafCapacity and
 // merge/borrow below kLeafMin, so the leaf count stays ≤ n / kLeafMin + 1
 // and Reserve() can pre-size every array — a capacity-bounded reservoir
-// then churns allocation-free forever, same contract as IndexedBoard.
+// then churns allocation-free forever.
 //
-// Exactness contract: identical to IndexedBoard's. For any reachable
-// multiset, Kth/CountLessEqual and therefore Quantile()/PercentileRank()
-// return bit-identical doubles to the sorted-oracle implementations
-// QuantileSorted() / PercentileRankSorted() in stats/quantile.h (and hence
-// to the treap). Insertion uses upper-bound placement among equal keys and
-// EraseOne removes by value equality, matching the treap's split/merge
-// semantics; a NaN probe to CountLessEqual counts every value
-// (std::upper_bound semantics), a NaN EraseOne matches nothing.
-// tests/game/flat_order_board_test.cc and tests/game/board_fuzz_test.cc
-// pit both backends against the sorted oracle and against each other.
+// Exactness contract: for any reachable multiset, Kth/CountLessEqual and
+// therefore Quantile()/PercentileRank() return bit-identical doubles to the
+// sorted-oracle implementations QuantileSorted() / PercentileRankSorted() in
+// stats/quantile.h. Insertion uses upper-bound placement among equal keys
+// and EraseOne removes by value equality; a NaN probe to CountLessEqual
+// counts every value (std::upper_bound semantics), a NaN EraseOne matches
+// nothing. tests/game/flat_order_board_test.cc and
+// tests/game/board_fuzz_test.cc pit the board against the sorted oracle.
 #ifndef ITRIM_GAME_FLAT_ORDER_BOARD_H_
 #define ITRIM_GAME_FLAT_ORDER_BOARD_H_
 
@@ -46,7 +43,7 @@
 namespace itrim {
 
 /// \brief Dynamic multiset of doubles with cache-local order statistics
-/// (drop-in alternative to IndexedBoard behind PublicBoard).
+/// (the order-statistic index behind PublicBoard).
 class FlatOrderBoard {
  public:
   FlatOrderBoard() = default;
@@ -55,7 +52,7 @@ class FlatOrderBoard {
   void Insert(double value);
 
   /// \brief Removes one instance of `value`; false when absent (a NaN
-  /// `value` matches nothing, as in the treap).
+  /// `value` matches nothing).
   bool EraseOne(double value);
 
   /// \brief Drops all values; leaf storage is kept for reuse.

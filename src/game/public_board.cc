@@ -4,21 +4,13 @@
 
 namespace itrim {
 
-const char* BoardBackendName(BoardBackend backend) {
-  return backend == BoardBackend::kFlat ? "flat" : "treap";
-}
-
-PublicBoard::PublicBoard(size_t capacity, uint64_t seed, BoardBackend backend)
-    : capacity_(capacity), backend_(backend), rng_(seed) {
+PublicBoard::PublicBoard(size_t capacity, uint64_t seed)
+    : capacity_(capacity), rng_(seed) {
   if (capacity_ > 0) {
     // A bounded board's storage high-water mark is known up front; paying
     // it here keeps the record path allocation-free from the first value.
     values_.reserve(capacity_);
-    if (backend_ == BoardBackend::kFlat) {
-      flat_.Reserve(capacity_);
-    } else {
-      treap_.Reserve(capacity_);
-    }
+    flat_.Reserve(capacity_);
   }
 }
 
@@ -30,25 +22,15 @@ void PublicBoard::RecordOne(double value) {
   ++total_recorded_;
   if (capacity_ == 0 || values_.size() < capacity_) {
     values_.push_back(value);
-    if (backend_ == BoardBackend::kFlat) {
-      flat_.Insert(value);
-    } else {
-      treap_.Insert(value);
-    }
+    flat_.Insert(value);
   } else {
     // Reservoir sampling keeps the board an unbiased sample of everything
     // ever recorded while bounding memory.
     size_t j = static_cast<size_t>(rng_.UniformInt(total_recorded_));
     if (j < capacity_) {
-      if (backend_ == BoardBackend::kFlat) {
-        flat_.EraseOne(values_[j]);
-        values_[j] = value;
-        flat_.Insert(value);
-      } else {
-        treap_.EraseOne(values_[j]);
-        values_[j] = value;
-        treap_.Insert(value);
-      }
+      flat_.EraseOne(values_[j]);
+      values_[j] = value;
+      flat_.Insert(value);
     }
   }
 }
@@ -57,20 +39,17 @@ Result<double> PublicBoard::Quantile(double q) const {
   if (values_.empty()) {
     return Status::FailedPrecondition("public board is empty");
   }
-  return backend_ == BoardBackend::kFlat ? flat_.Quantile(q)
-                                         : treap_.Quantile(q);
+  return flat_.Quantile(q);
 }
 
 double PublicBoard::PercentileRank(double x) const {
   if (values_.empty()) return 0.0;
-  return backend_ == BoardBackend::kFlat ? flat_.PercentileRank(x)
-                                         : treap_.PercentileRank(x);
+  return flat_.PercentileRank(x);
 }
 
 void PublicBoard::Clear() {
   values_.clear();
   flat_.Clear();
-  treap_.Clear();
   total_recorded_ = 0;
 }
 
@@ -89,15 +68,9 @@ Status PublicBoard::Restore(const Snapshot& snapshot) {
   values_ = snapshot.values;
   total_recorded_ = snapshot.total_recorded;
   rng_.Restore(snapshot.rng);
-  if (backend_ == BoardBackend::kFlat) {
-    flat_.Clear();
-    flat_.Reserve(capacity_);
-    for (double v : values_) flat_.Insert(v);
-  } else {
-    treap_.Clear();
-    treap_.Reserve(capacity_);
-    for (double v : values_) treap_.Insert(v);
-  }
+  flat_.Clear();
+  flat_.Reserve(capacity_);
+  for (double v : values_) flat_.Insert(v);
   return Status::OK();
 }
 

@@ -10,15 +10,11 @@
 // the cutoffs downward, so all round-to-round adaptivity lives in the
 // strategies, not in reference drift.
 //
-// Order statistics are served by one of two interchangeable backends (see
-// BoardBackend): the flat B-tree-style FlatOrderBoard (default — sorted
-// 64-double leaves over a Fenwick-counted flat index, cache-local) or the
-// size-augmented treap IndexedBoard. Both are O(log n) per operation and
-// *bit-identical* to the sorted-oracle semantics and to each other for
-// every reachable multiset (see flat_order_board.h / indexed_board.h for
-// the contract), so the choice is purely a performance knob — snapshots
-// taken under one backend restore under the other without any change in
-// the stream.
+// Order statistics are served by a FlatOrderBoard (sorted 64-double leaves
+// over a Fenwick-counted flat index, cache-local): O(log n) per operation
+// and *bit-identical* to the sorted-oracle semantics (QuantileSorted /
+// PercentileRankSorted) for every reachable multiset — see
+// flat_order_board.h for the contract.
 #ifndef ITRIM_GAME_PUBLIC_BOARD_H_
 #define ITRIM_GAME_PUBLIC_BOARD_H_
 
@@ -28,20 +24,8 @@
 #include "common/rng.h"
 #include "common/status.h"
 #include "game/flat_order_board.h"
-#include "game/indexed_board.h"
 
 namespace itrim {
-
-/// \brief Selectable order-statistic index behind PublicBoard. Both
-/// backends answer every query bit-identically; they differ only in memory
-/// layout and speed (the flat board wins on cache locality).
-enum class BoardBackend {
-  kFlat = 0,   ///< FlatOrderBoard: contiguous sorted leaves + flat index
-  kTreap = 1,  ///< IndexedBoard: size-augmented treap (pointer-chasing)
-};
-
-/// \brief Human-readable backend name ("flat" / "treap").
-const char* BoardBackendName(BoardBackend backend);
 
 /// \brief Append-only record of retained scalar observations with
 /// incremental quantile queries.
@@ -51,8 +35,7 @@ const char* BoardBackendName(BoardBackend backend);
 class PublicBoard {
  public:
   /// Creates a board retaining at most `capacity` values (0 = unbounded).
-  explicit PublicBoard(size_t capacity = 0, uint64_t seed = 17,
-                       BoardBackend backend = BoardBackend::kFlat);
+  explicit PublicBoard(size_t capacity = 0, uint64_t seed = 17);
 
   /// \brief Records a batch of retained values.
   void Record(const std::vector<double>& values);
@@ -76,16 +59,12 @@ class PublicBoard {
   /// \brief All currently held values (unsorted, reservoir-slot order).
   const std::vector<double>& values() const { return values_; }
 
-  /// \brief Order-statistic backend this board was configured with.
-  BoardBackend backend() const { return backend_; }
-
   /// \brief Drops all records.
   void Clear();
 
-  /// \brief Serializable board state for session checkpointing. Snapshots
-  /// are backend-agnostic: the order-statistic index is rebuilt on
-  /// Restore, so a snapshot taken under one backend restores under the
-  /// other with an identical subsequent stream.
+  /// \brief Serializable board state for session checkpointing. The
+  /// order-statistic index is not part of it: Restore rebuilds the index
+  /// from the values, so the subsequent stream is identical.
   struct Snapshot {
     std::vector<double> values;
     size_t total_recorded = 0;
@@ -104,15 +83,10 @@ class PublicBoard {
 
  private:
   size_t capacity_;
-  BoardBackend backend_;
   size_t total_recorded_ = 0;
   Rng rng_;
   std::vector<double> values_;
-  // Only the configured backend is ever populated; the idle one stays
-  // empty (a default-constructed board owns no heap memory). Dispatch is a
-  // predictable branch on backend_, kept out of the templated query path.
   FlatOrderBoard flat_;
-  IndexedBoard treap_;
 };
 
 }  // namespace itrim

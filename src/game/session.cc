@@ -198,8 +198,7 @@ TrimmingSession::TrimmingSession(GameConfig config, ScoreModel* model,
     : config_(config), config_status_(config.Validate()), model_(model),
       collector_(collector), adversary_(adversary), quality_(quality),
       reference_(reference != nullptr ? reference : DefaultReferencePolicy()),
-      board_(config.board_capacity, BoardSeedFor(config, model),
-             config.board_backend),
+      board_(config.board_capacity, BoardSeedFor(config, model)),
       rng_(config.seed) {
   assert(collector != nullptr);
 }
@@ -247,11 +246,9 @@ Result<RoundRecord> TrimmingSession::Step() {
     return Status::FailedPrecondition("session is not bootstrapped");
   }
   const int round = next_round_;
-  if constexpr (obs::kEnabled) {
-    if (obs_.trace != nullptr) {
-      obs_.trace->Record(obs::TraceKind::kRoundStart, obs_.tenant,
-                         static_cast<double>(round));
-    }
+  if (obs_.trace != nullptr) {
+    obs_.trace->Record(obs::TraceKind::kRoundStart, obs_.tenant,
+                       static_cast<double>(round));
   }
   const size_t poison_count = model_->PoisonCount(config_, &poison_quota_);
 
@@ -337,10 +334,8 @@ Result<RoundRecord> TrimmingSession::Step() {
   }
   model_->Commit(outcome.keep);
   records_.Append(record);
-  if constexpr (obs::kEnabled) {
-    if (obs_.metrics != nullptr || obs_.trace != nullptr) {
-      RecordRoundObservability(record, outcome.removed_count, used_reference);
-    }
+  if (obs_.metrics != nullptr || obs_.trace != nullptr) {
+    RecordRoundObservability(record, outcome.removed_count, used_reference);
   }
 
   prev_ = ObservationFromRecord(record);

@@ -73,10 +73,6 @@ struct GameConfig {
   double tth = 0.9;             ///< nominal threshold percentile
   size_t bootstrap_size = 500;  ///< clean board seed (round 0)
   size_t board_capacity = 20000;  ///< reservoir cap (0 = unbounded)
-  /// Order-statistic backend behind the public board. Both backends are
-  /// bit-identical for every query, so this is purely a performance knob;
-  /// the flat board is the default (cache-local, measurably faster).
-  BoardBackend board_backend = BoardBackend::kFlat;
   /// When true, trimming removes the top (1 - q) fraction of the received
   /// round itself instead of cutting at the board's q-quantile value.
   bool round_mass_trimming = false;

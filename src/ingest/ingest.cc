@@ -7,7 +7,6 @@
 
 #include "common/thread_pool.h"
 #include "game/kernels.h"
-#include "game/public_board.h"
 
 namespace itrim {
 
@@ -150,14 +149,10 @@ Status IngestService::Start() {
   }
   resident_base_ =
       static_cast<int64_t>(fleet_->ResidentTenants()) + prior_churn;
-  // Scrape-context identity: which kernel build and board backend this
-  // service's rounds actually run on.
+  // Scrape-context identity: which kernel build this service's rounds
+  // actually run on.
   registry_->SetInfo("kernel",
                      kernels::VariantName(kernels::ActiveVariant()));
-  if (fleet_->num_tenants() > 0) {
-    registry_->SetInfo(
-        "board", BoardBackendName(fleet_->tenant(0).config.board_backend));
-  }
   registry_->SetInfo("shards", std::to_string(shard_count));
   // Home assignment before any worker runs: every tenant belongs to
   // exactly one shard, so per-tenant event order is total and tenant
@@ -169,7 +164,7 @@ Status IngestService::Start() {
   }
   // Deep telemetry: every session reports into its home shard's slot and
   // trace ring (persisted on the Tenant, so hibernation keeps the sinks).
-  if (obs::kEnabled && config_.observe_rounds) {
+  if (config_.observe_rounds) {
     for (const auto& shard : shards_) {
       for (uint64_t id : shard->owned) {
         SessionObs sinks;
@@ -204,11 +199,10 @@ Status IngestService::Admit(const IngestEvent& event, bool blocking) {
                                    std::to_string(event.tenant_id));
   }
   Shard& shard = *shards_[ShardOf(event.tenant_id)];
-  const bool deep = obs::kEnabled && config_.observe_rounds;
-  const bool timed =
-      deep && submit_tick_.fetch_add(1, std::memory_order_relaxed) %
-                      kSubmitSampleEvery ==
-                  0;
+  const bool timed = config_.observe_rounds &&
+                     submit_tick_.fetch_add(1, std::memory_order_relaxed) %
+                             kSubmitSampleEvery ==
+                         0;
   const int64_t t0 = timed ? obs::MonotonicNowNs() : 0;
   // TryPush first so a full queue is observable: a blocking Submit that
   // failed the fast path is a backpressure stall, counted and traced
@@ -260,7 +254,6 @@ bool IngestService::DrainLane(Shard& shard, uint64_t tenant_id,
                               TenantLane& lane) {
   const size_t i = static_cast<size_t>(tenant_id);
   const uint32_t round_size = static_cast<uint32_t>(lane.round_size);
-  const bool deep = obs::kEnabled && config_.observe_rounds;
   while (lane.pending >= round_size) {
     if (!fleet_->TenantResident(i)) {
       Status status = fleet_->RehydrateTenant(i);
@@ -281,7 +274,7 @@ bool IngestService::DrainLane(Shard& shard, uint64_t tenant_id,
     // Round wall time is sampled 1-in-4 per lane: the session's own trace
     // events already stamp every round boundary, so the histogram can
     // afford to skip clock reads on the hot path.
-    const bool timed = deep && (lane.wall_tick++ & 3u) == 0;
+    const bool timed = config_.observe_rounds && (lane.wall_tick++ & 3u) == 0;
     const int64_t t0 = timed ? obs::MonotonicNowNs() : 0;
     Result<RoundRecord> record = fleet_->StepTenant(i);
     if (!record.ok()) {

@@ -34,8 +34,6 @@ size_t RoundUpPow2(size_t n) {
 }
 }  // namespace
 
-#if ITRIM_OBS
-
 TraceBuffer::TraceBuffer(size_t capacity) {
   capacity_ = RoundUpPow2(capacity == 0 ? 1 : capacity);
   slots_ = std::vector<Slot>(capacity_);
@@ -67,17 +65,5 @@ void TraceBuffer::Snapshot(std::vector<TraceEvent>* out) const {
     out->push_back(ev);
   }
 }
-
-#else  // !ITRIM_OBS
-
-TraceBuffer::TraceBuffer(size_t capacity) {
-  capacity_ = RoundUpPow2(capacity == 0 ? 1 : capacity);
-}
-
-void TraceBuffer::Snapshot(std::vector<TraceEvent>* out) const {
-  out->clear();
-}
-
-#endif  // ITRIM_OBS
 
 }  // namespace itrim::obs

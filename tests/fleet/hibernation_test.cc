@@ -1,8 +1,7 @@
 // Tenant hibernation/rehydration bit-identity: evicting a session to its
 // compact checkpoint and rebuilding it later must not perturb the stream.
-// Covered per model kind (scalar / distance / LDP / residual), per board backend
-// (flat / treap), mid-stream at every round boundary, and across repeated
-// hibernate-rehydrate cycles.
+// Covered per model kind (scalar / distance / LDP / residual), mid-stream at
+// every round boundary, and across repeated hibernate-rehydrate cycles.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -13,7 +12,6 @@
 #include "exp/schemes.h"
 #include "fleet/session_fleet.h"
 #include "fleet/tenant.h"
-#include "game/public_board.h"
 #include "ldp/attacks.h"
 #include "ldp/mechanism.h"
 #include "ml/linreg.h"
@@ -39,17 +37,15 @@ class HibernationTest : public ::testing::Test {
         population_(UniformPool(3000, 31)), mechanism_(2.0),
         regression_(MakeSyntheticRegression(600, 3, 0.05, 47)) {}
 
-  TenantSpec SpecFor(TenantModelKind model, BoardBackend backend) {
+  TenantSpec SpecFor(TenantModelKind model) {
     TenantSpec spec;
-    spec.name = TenantModelKindName(model) + "/" +
-                std::string(BoardBackendName(backend));
+    spec.name = TenantModelKindName(model);
     spec.model = model;
     spec.scheme = SchemeId::kElastic05;
     spec.game.round_size = 40;
     spec.game.bootstrap_size = 80;
     spec.game.attack_ratio = 0.15;
     spec.game.board_capacity = 2000;
-    spec.game.board_backend = backend;
     switch (model) {
       case TenantModelKind::kScalar:
         spec.scalar_pool = &pool_;
@@ -92,50 +88,44 @@ class HibernationTest : public ::testing::Test {
   RegressionData regression_;
 };
 
-// The core contract, swept over every (model kind, board backend) cell:
-// for every split point k in a 8-round stream, playing k rounds,
-// hibernating, rehydrating and playing the rest equals the uninterrupted
-// stream bit for bit.
+// The core contract, swept over every model kind: for every split point k
+// in a 8-round stream, playing k rounds, hibernating, rehydrating and
+// playing the rest equals the uninterrupted stream bit for bit.
 TEST_F(HibernationTest, MidStreamHibernationIsBitIdenticalEverywhere) {
   const int kRounds = 8;
   const TenantModelKind kinds[] = {TenantModelKind::kScalar,
                                    TenantModelKind::kDistance,
                                    TenantModelKind::kLdp,
                                    TenantModelKind::kResidual};
-  const BoardBackend backends[] = {BoardBackend::kFlat, BoardBackend::kTreap};
   for (TenantModelKind model : kinds) {
-    for (BoardBackend backend : backends) {
-      TenantSpec spec = SpecFor(model, backend);
-      SCOPED_TRACE(spec.name);
+    TenantSpec spec = SpecFor(model);
+    SCOPED_TRACE(spec.name);
 
-      SessionFleet reference = MakeFleet(spec);
-      for (int r = 0; r < kRounds; ++r) {
-        ASSERT_TRUE(reference.StepTenant(0).ok());
-      }
-      std::vector<RoundRecord> expected =
-          reference.TenantRounds(0).ValueOrDie();
+    SessionFleet reference = MakeFleet(spec);
+    for (int r = 0; r < kRounds; ++r) {
+      ASSERT_TRUE(reference.StepTenant(0).ok());
+    }
+    std::vector<RoundRecord> expected = reference.TenantRounds(0).ValueOrDie();
 
-      for (int split = 0; split <= kRounds; ++split) {
-        SCOPED_TRACE("split after round " + std::to_string(split));
-        SessionFleet fleet = MakeFleet(spec);
-        for (int r = 0; r < split; ++r) {
-          ASSERT_TRUE(fleet.StepTenant(0).ok());
-        }
-        ASSERT_TRUE(fleet.HibernateTenant(0).ok());
-        EXPECT_FALSE(fleet.TenantResident(0));
-        EXPECT_EQ(fleet.ResidentTenants(), 0u);
-        // Parked tenants still answer for their history.
-        ExpectRecordsBitIdentical(
-            std::vector<RoundRecord>(expected.begin(),
-                                     expected.begin() + split),
-            fleet.TenantRounds(0).ValueOrDie());
-        ASSERT_TRUE(fleet.RehydrateTenant(0).ok());
-        EXPECT_TRUE(fleet.TenantResident(0));
-        for (int r = split; r < kRounds; ++r) {
-          ASSERT_TRUE(fleet.StepTenant(0).ok());
-        }
-        ExpectRecordsBitIdentical(expected, fleet.TenantRounds(0).ValueOrDie());
+    for (int split = 0; split <= kRounds; ++split) {
+      SCOPED_TRACE("split after round " + std::to_string(split));
+      SessionFleet fleet = MakeFleet(spec);
+      for (int r = 0; r < split; ++r) {
+        ASSERT_TRUE(fleet.StepTenant(0).ok());
       }
+      ASSERT_TRUE(fleet.HibernateTenant(0).ok());
+      EXPECT_FALSE(fleet.TenantResident(0));
+      EXPECT_EQ(fleet.ResidentTenants(), 0u);
+      // Parked tenants still answer for their history.
+      ExpectRecordsBitIdentical(
+          std::vector<RoundRecord>(expected.begin(), expected.begin() + split),
+          fleet.TenantRounds(0).ValueOrDie());
+      ASSERT_TRUE(fleet.RehydrateTenant(0).ok());
+      EXPECT_TRUE(fleet.TenantResident(0));
+      for (int r = split; r < kRounds; ++r) {
+        ASSERT_TRUE(fleet.StepTenant(0).ok());
+      }
+      ExpectRecordsBitIdentical(expected, fleet.TenantRounds(0).ValueOrDie());
     }
   }
 }
@@ -143,30 +133,27 @@ TEST_F(HibernationTest, MidStreamHibernationIsBitIdenticalEverywhere) {
 // Repeated park/rebuild cycles — including several in a row with no round
 // in between — accumulate no drift.
 TEST_F(HibernationTest, RepeatedCyclesAccumulateNoDrift) {
-  for (BoardBackend backend : {BoardBackend::kFlat, BoardBackend::kTreap}) {
-    TenantSpec spec = SpecFor(TenantModelKind::kDistance, backend);
-    SCOPED_TRACE(spec.name);
-    SessionFleet reference = MakeFleet(spec);
-    for (int r = 0; r < 6; ++r) ASSERT_TRUE(reference.StepTenant(0).ok());
+  TenantSpec spec = SpecFor(TenantModelKind::kDistance);
+  SessionFleet reference = MakeFleet(spec);
+  for (int r = 0; r < 6; ++r) ASSERT_TRUE(reference.StepTenant(0).ok());
 
-    SessionFleet fleet = MakeFleet(spec);
-    for (int r = 0; r < 6; ++r) {
-      ASSERT_TRUE(fleet.HibernateTenant(0).ok());
-      ASSERT_TRUE(fleet.RehydrateTenant(0).ok());
-      ASSERT_TRUE(fleet.HibernateTenant(0).ok());
-      ASSERT_TRUE(fleet.RehydrateTenant(0).ok());
-      ASSERT_TRUE(fleet.StepTenant(0).ok());
-    }
-    ExpectRecordsBitIdentical(reference.TenantRounds(0).ValueOrDie(),
-                              fleet.TenantRounds(0).ValueOrDie());
+  SessionFleet fleet = MakeFleet(spec);
+  for (int r = 0; r < 6; ++r) {
+    ASSERT_TRUE(fleet.HibernateTenant(0).ok());
+    ASSERT_TRUE(fleet.RehydrateTenant(0).ok());
+    ASSERT_TRUE(fleet.HibernateTenant(0).ok());
+    ASSERT_TRUE(fleet.RehydrateTenant(0).ok());
+    ASSERT_TRUE(fleet.StepTenant(0).ok());
   }
+  ExpectRecordsBitIdentical(reference.TenantRounds(0).ValueOrDie(),
+                            fleet.TenantRounds(0).ValueOrDie());
 }
 
 // Finish() must account hibernated tenants from their parked checkpoints:
 // a fleet finished while parked reports the same per-tenant books as one
 // finished while resident.
 TEST_F(HibernationTest, FinishAccountsParkedTenants) {
-  TenantSpec spec = SpecFor(TenantModelKind::kScalar, BoardBackend::kFlat);
+  TenantSpec spec = SpecFor(TenantModelKind::kScalar);
   SessionFleet resident = MakeFleet(spec);
   for (int r = 0; r < 5; ++r) ASSERT_TRUE(resident.StepTenant(0).ok());
   FleetSummary expected = resident.Finish();
@@ -182,14 +169,17 @@ TEST_F(HibernationTest, FinishAccountsParkedTenants) {
 }
 
 // Mode and state guards: the per-tenant surface refuses outside
-// per-tenant mode, double hibernation/rehydration is refused, and a
-// hibernated tenant cannot step.
+// per-tenant mode, the lockstep surface (StepRound, Restore) refuses inside
+// it, double hibernation/rehydration is refused, and a hibernated tenant
+// cannot step.
 TEST_F(HibernationTest, GuardsRejectInvalidTransitions) {
-  TenantSpec spec = SpecFor(TenantModelKind::kScalar, BoardBackend::kFlat);
+  TenantSpec spec = SpecFor(TenantModelKind::kScalar);
   FleetConfig config;
   config.threads = 1;
   SessionFleet fleet(config, {spec});
   ASSERT_TRUE(fleet.Bootstrap().ok());
+  ASSERT_TRUE(fleet.StepRound().ok());
+  FleetCheckpoint checkpoint = fleet.Checkpoint().ValueOrDie();
 
   // Lockstep mode: per-tenant calls are refused.
   EXPECT_EQ(fleet.StepTenant(0).status().code(),
@@ -203,7 +193,14 @@ TEST_F(HibernationTest, GuardsRejectInvalidTransitions) {
             StatusCode::kFailedPrecondition);
 
   EXPECT_EQ(fleet.StepTenant(7).status().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(fleet.AttachTenantObservability(7, SessionObs{}).code(),
+            StatusCode::kOutOfRange);
   ASSERT_TRUE(fleet.HibernateTenant(0).ok());
+  // A lockstep restore would leave the fleet in per-tenant mode over
+  // sessions it just rewound; it is refused and changes nothing.
+  EXPECT_EQ(fleet.Restore(checkpoint).code(), StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(fleet.per_tenant_mode());
+  EXPECT_FALSE(fleet.TenantResident(0));
   EXPECT_EQ(fleet.HibernateTenant(0).code(), StatusCode::kFailedPrecondition);
   EXPECT_EQ(fleet.StepTenant(0).status().code(),
             StatusCode::kFailedPrecondition);
@@ -215,6 +212,32 @@ TEST_F(HibernationTest, GuardsRejectInvalidTransitions) {
   ASSERT_TRUE(fleet.Bootstrap().ok());
   EXPECT_FALSE(fleet.per_tenant_mode());
   EXPECT_TRUE(fleet.StepRound().ok());
+}
+
+// Fleet checkpoints are lockstep-only and need live sessions: refused
+// before Bootstrap() and in per-tenant mode (where a hibernated tenant has
+// no session to checkpoint), and available again after re-Bootstrap().
+TEST_F(HibernationTest, CheckpointRefusedOutsideBootstrappedLockstep) {
+  TenantSpec spec = SpecFor(TenantModelKind::kScalar);
+  FleetConfig config;
+  config.threads = 1;
+  SessionFleet fleet(config, {spec});
+  EXPECT_EQ(fleet.Checkpoint().status().code(),
+            StatusCode::kFailedPrecondition);
+
+  ASSERT_TRUE(fleet.Bootstrap().ok());
+  ASSERT_TRUE(fleet.BeginPerTenantStepping().ok());
+  EXPECT_EQ(fleet.Checkpoint().status().code(),
+            StatusCode::kFailedPrecondition);
+  ASSERT_TRUE(fleet.HibernateTenant(0).ok());
+  EXPECT_EQ(fleet.Checkpoint().status().code(),
+            StatusCode::kFailedPrecondition);
+
+  ASSERT_TRUE(fleet.Bootstrap().ok());
+  ASSERT_TRUE(fleet.StepRound().ok());
+  Result<FleetCheckpoint> checkpoint = fleet.Checkpoint();
+  ASSERT_TRUE(checkpoint.ok());
+  EXPECT_EQ(checkpoint->next_round, 2);
 }
 
 }  // namespace

@@ -156,7 +156,7 @@ TEST_F(SessionFleetTest, CheckpointRestoreResumesBitIdentically) {
   SessionFleet first(config, HeterogeneousSpecs(12));
   ASSERT_TRUE(first.Bootstrap().ok());
   for (int i = 0; i < 4; ++i) ASSERT_TRUE(first.StepRound().ok());
-  FleetCheckpoint checkpoint = first.Checkpoint();
+  FleetCheckpoint checkpoint = first.Checkpoint().ValueOrDie();
   EXPECT_EQ(checkpoint.next_round, 5);
   ASSERT_EQ(checkpoint.sessions.size(), 12u);
 
@@ -181,7 +181,7 @@ TEST_F(SessionFleetTest, RestoreRejectsInconsistentRoundCounts) {
   ASSERT_TRUE(fleet.Bootstrap().ok());
   ASSERT_TRUE(fleet.StepRound().ok());
   ASSERT_TRUE(fleet.StepRound().ok());
-  FleetCheckpoint checkpoint = fleet.Checkpoint();
+  FleetCheckpoint checkpoint = fleet.Checkpoint().ValueOrDie();
 
   FleetCheckpoint inflated = checkpoint;
   inflated.next_round = 7;  // sessions only carry 2 round records
@@ -216,7 +216,7 @@ TEST_F(SessionFleetTest, RestoreRejectsTenantCountMismatch) {
   SessionFleet fleet(config, HeterogeneousSpecs(4));
   ASSERT_TRUE(fleet.Bootstrap().ok());
   ASSERT_TRUE(fleet.StepRound().ok());
-  FleetCheckpoint checkpoint = fleet.Checkpoint();
+  FleetCheckpoint checkpoint = fleet.Checkpoint().ValueOrDie();
   checkpoint.sessions.pop_back();
   Status status = fleet.Restore(checkpoint);
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
@@ -234,7 +234,7 @@ TEST_F(SessionFleetTest, RestoreRejectsOversizedBoardSnapshot) {
   SessionFleet fleet(config, specs);
   ASSERT_TRUE(fleet.Bootstrap().ok());
   ASSERT_TRUE(fleet.StepRound().ok());
-  FleetCheckpoint checkpoint = fleet.Checkpoint();
+  FleetCheckpoint checkpoint = fleet.Checkpoint().ValueOrDie();
 
   FleetCheckpoint oversized = checkpoint;
   oversized.sessions[2].board.values.resize(
@@ -271,7 +271,7 @@ TEST_F(SessionFleetTest, RejectedRestoreLeavesFleetBitIdentical) {
 
   // Corrupt a copy of the fleet's own checkpoint three different ways and
   // throw each at the live fleet.
-  FleetCheckpoint checkpoint = fleet.Checkpoint();
+  FleetCheckpoint checkpoint = fleet.Checkpoint().ValueOrDie();
   FleetCheckpoint truncated = checkpoint;
   truncated.sessions.pop_back();
   EXPECT_FALSE(fleet.Restore(truncated).ok());

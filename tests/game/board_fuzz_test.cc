@@ -1,9 +1,8 @@
-// Differential fuzzing of BOTH order-statistic backends (the flat B-tree
-// board and the size-augmented treap) against the sorted oracle *and each
-// other* in the same pass, concentrated on the path the unit tests cover
-// least: the board_capacity reservoir boundary, where every record past
-// capacity becomes an EraseOne(old slot value) + Insert(new value) pair on
-// the index while the multiset size stays pinned at the cap.
+// Differential fuzzing of the flat order-statistic board against the
+// sorted oracle, concentrated on the path the unit tests cover least: the
+// board_capacity reservoir boundary, where every record past capacity
+// becomes an EraseOne(old slot value) + Insert(new value) pair on the index
+// while the multiset size stays pinned at the cap.
 //
 // The interleavings are adversarial rather than uniform: monotone runs
 // (degenerate insertion orders for a balanced tree, leaf-split stress for
@@ -11,8 +10,8 @@
 // flipping extremes (interpolation across huge gaps), and hover loops that
 // keep the size oscillating exactly at the boundary. Every check is exact —
 // bitwise agreement with QuantileSorted / PercentileRankSorted over the
-// same multiset, and bitwise agreement between the two backends — so any
-// divergence, however small, is a backend bug, not noise.
+// same multiset — so any divergence, however small, is a board bug, not
+// noise.
 //
 // ITRIM_BOARD_FUZZ_OPS scales the per-case op count (default 1200 / 900).
 // The sanitizer CI leg runs a short-iteration variant through this knob so
@@ -28,7 +27,6 @@
 
 #include "common/rng.h"
 #include "game/flat_order_board.h"
-#include "game/indexed_board.h"
 #include "game/public_board.h"
 #include "stats/quantile.h"
 
@@ -90,27 +88,20 @@ double DrawValue(ValuePattern pattern, size_t step, Rng* rng) {
   return 0.0;
 }
 
-// Exhaustive cross-check of one multiset state on both backends: every k,
-// every boundary q, and ranks probed at the stored values themselves (the
-// <= tie path) plus nudges on both sides. Each backend is checked against
-// the sorted oracle AND against the other backend, bitwise.
+// Exhaustive check of one multiset state against the sorted oracle,
+// bitwise: every k, every boundary q, and ranks probed at the stored values
+// themselves (the <= tie path) plus nudges on both sides.
 void CheckAllOrderStatistics(const FlatOrderBoard& flat,
-                             const IndexedBoard& treap,
                              std::vector<double> mirror) {
   std::sort(mirror.begin(), mirror.end());
   ASSERT_EQ(flat.size(), mirror.size());
-  ASSERT_EQ(treap.size(), mirror.size());
   if (mirror.empty()) {
     EXPECT_FALSE(flat.Quantile(0.5).ok());
-    EXPECT_FALSE(treap.Quantile(0.5).ok());
     EXPECT_TRUE(BitEqual(flat.PercentileRank(0.0), 0.0));
-    EXPECT_TRUE(BitEqual(treap.PercentileRank(0.0), 0.0));
     return;
   }
   for (size_t k = 0; k < mirror.size(); ++k) {
-    ASSERT_TRUE(BitEqual(flat.Kth(k), mirror[k])) << "flat k=" << k;
-    ASSERT_TRUE(BitEqual(treap.Kth(k), mirror[k])) << "treap k=" << k;
-    ASSERT_TRUE(BitEqual(flat.Kth(k), treap.Kth(k))) << "cross k=" << k;
+    ASSERT_TRUE(BitEqual(flat.Kth(k), mirror[k])) << "k=" << k;
   }
   const size_t n = mirror.size();
   std::vector<double> probes = {0.0, 1.0, 0.5};
@@ -121,28 +112,23 @@ void CheckAllOrderStatistics(const FlatOrderBoard& flat,
   }
   for (double q : probes) {
     const double want = QuantileSorted(mirror, q);
-    ASSERT_TRUE(BitEqual(flat.Quantile(q).ValueOrDie(), want))
-        << "flat q=" << q;
-    ASSERT_TRUE(BitEqual(treap.Quantile(q).ValueOrDie(), want))
-        << "treap q=" << q;
+    ASSERT_TRUE(BitEqual(flat.Quantile(q).ValueOrDie(), want)) << "q=" << q;
   }
   for (size_t i = 0; i < n; ++i) {
     for (double x : {mirror[i], std::nextafter(mirror[i], 1e308),
                      std::nextafter(mirror[i], -1e308)}) {
       const double want = PercentileRankSorted(mirror, x);
-      ASSERT_TRUE(BitEqual(flat.PercentileRank(x), want)) << "flat x=" << x;
-      ASSERT_TRUE(BitEqual(treap.PercentileRank(x), want)) << "treap x=" << x;
+      ASSERT_TRUE(BitEqual(flat.PercentileRank(x), want)) << "x=" << x;
     }
   }
 }
 
 class BoardFuzzTest : public ::testing::TestWithParam<ValuePattern> {};
 
-// Phase 1: both raw indexes under reservoir-shaped churn, fed the same op
-// stream. Fill to a boundary B, then hover: each op replaces a random
-// resident value (EraseOne + Insert — the exact call pair
-// PublicBoard::RecordOne issues past capacity), with occasional dips below
-// and bursts above the boundary.
+// Phase 1: the raw index under reservoir-shaped churn. Fill to a boundary
+// B, then hover: each op replaces a random resident value (EraseOne +
+// Insert — the exact call pair PublicBoard::RecordOne issues past
+// capacity), with occasional dips below and bursts above the boundary.
 TEST_P(BoardFuzzTest, ReservoirShapedChurnMatchesSortedOracle) {
   const ValuePattern pattern = GetParam();
   SCOPED_TRACE(PatternName(pattern));
@@ -150,7 +136,6 @@ TEST_P(BoardFuzzTest, ReservoirShapedChurnMatchesSortedOracle) {
   for (size_t boundary : {1u, 2u, 3u, 8u, 33u}) {
     SCOPED_TRACE("boundary " + std::to_string(boundary));
     FlatOrderBoard flat;
-    IndexedBoard treap;
     std::vector<double> mirror;  // unsorted multiset mirror
     Rng rng(1000 + boundary);
     size_t step = 0;
@@ -160,39 +145,35 @@ TEST_P(BoardFuzzTest, ReservoirShapedChurnMatchesSortedOracle) {
           (roll < 0.15 && mirror.size() < 2 * boundary)) {
         double v = DrawValue(pattern, step++, &rng);
         flat.Insert(v);
-        treap.Insert(v);
         mirror.push_back(v);
       } else if (roll < 0.85 || mirror.empty()) {
         // The replacement pair, against a random resident slot.
         size_t slot = static_cast<size_t>(rng.UniformInt(mirror.size()));
         ASSERT_TRUE(flat.EraseOne(mirror[slot]));
-        ASSERT_TRUE(treap.EraseOne(mirror[slot]));
         double v = DrawValue(pattern, step++, &rng);
         flat.Insert(v);
-        treap.Insert(v);
         mirror[slot] = v;
       } else {
         // Dip below the boundary.
         size_t slot = static_cast<size_t>(rng.UniformInt(mirror.size()));
         ASSERT_TRUE(flat.EraseOne(mirror[slot]));
-        ASSERT_TRUE(treap.EraseOne(mirror[slot]));
         mirror[slot] = mirror.back();
         mirror.pop_back();
       }
       if (op % 37 == 0 || mirror.size() == boundary) {
-        CheckAllOrderStatistics(flat, treap, mirror);
+        CheckAllOrderStatistics(flat, mirror);
       }
     }
-    CheckAllOrderStatistics(flat, treap, mirror);
+    CheckAllOrderStatistics(flat, mirror);
   }
 }
 
-// Phase 2: PublicBoard end to end at tiny capacities, one board per
-// backend fed the identical stream from the same reservoir seed, checked
-// after every single record while the stream crosses the boundary — the
-// first replacement, the steady state, and a mid-stream Clear + refill.
-// Identical seeds mean identical reservoir decisions, so the two boards
-// must stay bit-identical in slot order, not just as multisets.
+// Phase 2: PublicBoard end to end at tiny capacities, checked after every
+// single record while the stream crosses the boundary — the first
+// replacement, the steady state, and a mid-stream Clear + refill. A plain
+// reservoir mirror driven by an Rng of the same seed makes the identical
+// replacement decisions, so the board must match it in slot order, not
+// just as a multiset.
 TEST_P(BoardFuzzTest, PublicBoardAtReservoirBoundaryMatchesSortedOracle) {
   const ValuePattern pattern = GetParam();
   SCOPED_TRACE(PatternName(pattern));
@@ -201,33 +182,40 @@ TEST_P(BoardFuzzTest, PublicBoardAtReservoirBoundaryMatchesSortedOracle) {
   for (size_t capacity : {1u, 2u, 3u, 7u, 64u}) {
     SCOPED_TRACE("capacity " + std::to_string(capacity));
     const uint64_t seed = capacity * 31 + 7;
-    PublicBoard flat(capacity, seed, BoardBackend::kFlat);
-    PublicBoard treap(capacity, seed, BoardBackend::kTreap);
+    PublicBoard flat(capacity, seed);
+    std::vector<double> reservoir;
+    size_t reservoir_total = 0;
+    Rng reservoir_rng(seed);
     Rng rng(500 + capacity);
     size_t step = 0;
     for (int op = 0; op < ops; ++op) {
       if (op == clear_at) {
         flat.Clear();
-        treap.Clear();
+        reservoir.clear();
+        reservoir_total = 0;
         EXPECT_EQ(flat.size(), 0u);
       }
       double v = DrawValue(pattern, step++, &rng);
       flat.RecordOne(v);
-      treap.RecordOne(v);
+      ++reservoir_total;
+      if (reservoir.size() < capacity) {
+        reservoir.push_back(v);
+      } else {
+        uint64_t j = reservoir_rng.UniformInt(reservoir_total);
+        if (j < capacity) reservoir[static_cast<size_t>(j)] = v;
+      }
       ASSERT_LE(flat.size(), capacity);
-      ASSERT_EQ(flat.values(), treap.values());  // same reservoir decisions
+      ASSERT_EQ(flat.values(), reservoir);  // same reservoir decisions
       std::vector<double> sorted = flat.values();
       std::sort(sorted.begin(), sorted.end());
       double q = rng.Uniform();
       const double want_q = QuantileSorted(sorted, q);
       ASSERT_TRUE(BitEqual(flat.Quantile(q).ValueOrDie(), want_q));
-      ASSERT_TRUE(BitEqual(treap.Quantile(q).ValueOrDie(), want_q));
       ASSERT_TRUE(BitEqual(flat.Quantile(0.0).ValueOrDie(), sorted.front()));
       ASSERT_TRUE(BitEqual(flat.Quantile(1.0).ValueOrDie(), sorted.back()));
       double x = sorted[rng.UniformInt(sorted.size())];
       const double want_x = PercentileRankSorted(sorted, x);
       ASSERT_TRUE(BitEqual(flat.PercentileRank(x), want_x));
-      ASSERT_TRUE(BitEqual(treap.PercentileRank(x), want_x));
       ASSERT_TRUE(BitEqual(flat.PercentileRank(x - 0.5),
                            PercentileRankSorted(sorted, x - 0.5)));
     }
@@ -235,7 +223,6 @@ TEST_P(BoardFuzzTest, PublicBoardAtReservoirBoundaryMatchesSortedOracle) {
     EXPECT_EQ(flat.size(),
               std::min<size_t>(capacity, static_cast<size_t>(clear_at)));
     EXPECT_EQ(flat.total_recorded(), static_cast<size_t>(clear_at));
-    EXPECT_EQ(treap.total_recorded(), flat.total_recorded());
   }
 }
 

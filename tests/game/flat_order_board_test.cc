@@ -1,10 +1,9 @@
-// FlatOrderBoard unit + property coverage, mirroring indexed_board_test.cc
-// for the treap and adding leaf-structure-targeted cases: splits at
-// kLeafCapacity, merges and cross-boundary borrows at kLeafMin, duplicate
-// runs spanning leaf boundaries, and the reserved-pool churn that backs the
-// zero-allocation reservoir contract. Every order-statistic check is exact
-// (bitwise against the sorted oracle) — the flat board promises the same
-// contract as the treap, so any divergence is a bug, not noise.
+// FlatOrderBoard unit + property coverage, including leaf-structure-targeted
+// cases: splits at kLeafCapacity, merges and cross-boundary borrows at
+// kLeafMin, duplicate runs spanning leaf boundaries, and the reserved-pool
+// churn that backs the zero-allocation reservoir contract. Every
+// order-statistic check is exact (bitwise against the sorted oracle), so any
+// divergence is a bug, not noise.
 #include "game/flat_order_board.h"
 
 #include <gtest/gtest.h>
@@ -14,7 +13,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "game/indexed_board.h"
 #include "stats/quantile.h"
 
 #include "game/summary_test_util.h"
@@ -61,8 +59,7 @@ TEST(FlatOrderBoardTest, NanProbeMatchesUpperBoundSemantics) {
   // std::upper_bound(sorted, NaN) returns end() (count = n): every
   // comparison NaN < v is false.
   EXPECT_DOUBLE_EQ(board.PercentileRank(std::nan("")), 1.0);
-  // A NaN erase probe matches nothing (no value compares equal to NaN) —
-  // the treap behaves identically.
+  // A NaN erase probe matches nothing (no value compares equal to NaN).
   EXPECT_FALSE(board.EraseOne(std::nan("")));
   EXPECT_EQ(board.size(), 3u);
 }
@@ -124,7 +121,7 @@ TEST(FlatOrderBoardTest, ErasureDrainsThroughMergesAndBorrows) {
     if (mirror.size() % 13 == 0 && !mirror.empty()) {
       for (size_t i = 0; i < mirror.size(); ++i) {
         // Numeric equality: round() yields -0.0s, and among equal keys the
-        // stored zero's sign bit may sit in either slot (as in the treap).
+        // stored zero's sign bit may sit in either slot.
         ASSERT_EQ(board.Kth(i), mirror[i]);
       }
       double q = rng.Uniform();
@@ -247,13 +244,10 @@ TEST(FlatOrderBoardTest, QuantileMatchesSortedOracleExactly) {
   }
 }
 
-// Randomized property sweep against a multiset oracle *and* the treap in
-// lockstep — insert / erase / clear interleavings with duplicate pressure.
-// The treap comparison is the backend-vs-backend half of the bit-identity
-// contract at the raw-structure level.
-TEST(FlatOrderBoardTest, PropertyAgainstMultisetOracleAndTreap) {
+// Randomized property sweep against a multiset oracle — insert / erase /
+// clear interleavings with duplicate pressure.
+TEST(FlatOrderBoardTest, PropertyAgainstMultisetOracle) {
   FlatOrderBoard board;
-  IndexedBoard treap;
   std::vector<double> oracle;  // unsorted mirror
   Rng rng(99);
   for (int op = 0; op < 6000; ++op) {
@@ -262,13 +256,11 @@ TEST(FlatOrderBoardTest, PropertyAgainstMultisetOracleAndTreap) {
       double v = rng.Uniform(-10.0, 10.0);
       if (rng.Bernoulli(0.25)) v = std::round(v);  // force duplicates
       board.Insert(v);
-      treap.Insert(v);
       oracle.push_back(v);
     } else if (roll < 0.75) {
       size_t idx = static_cast<size_t>(rng.UniformInt(oracle.size()));
       double v = oracle[idx];
       EXPECT_TRUE(board.EraseOne(v));
-      EXPECT_TRUE(treap.EraseOne(v));
       oracle[idx] = oracle.back();
       oracle.pop_back();
     } else if (roll < 0.995) {
@@ -277,21 +269,16 @@ TEST(FlatOrderBoardTest, PropertyAgainstMultisetOracleAndTreap) {
       std::sort(sorted.begin(), sorted.end());
       size_t k = static_cast<size_t>(rng.UniformInt(sorted.size()));
       // Kth compares numerically: ±0.0 instances are multiset-equal, so
-      // their relative order among equal keys is backend-unspecified.
+      // their relative order among equal keys is unspecified.
       EXPECT_EQ(board.Kth(k), sorted[k]);
-      EXPECT_EQ(board.Kth(k), treap.Kth(k));
       double q = rng.Uniform();
       EXPECT_TRUE(BitEqual(board.Quantile(q).ValueOrDie(),
                            QuantileSorted(sorted, q)));
-      EXPECT_TRUE(BitEqual(board.Quantile(q).ValueOrDie(),
-                           treap.Quantile(q).ValueOrDie()));
       double x = rng.Uniform(-11.0, 11.0);
       EXPECT_TRUE(BitEqual(board.PercentileRank(x),
                            PercentileRankSorted(sorted, x)));
-      EXPECT_TRUE(BitEqual(board.PercentileRank(x), treap.PercentileRank(x)));
     } else {
       board.Clear();
-      treap.Clear();
       oracle.clear();
     }
   }

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "data/generators.h"
+#include "game/score_model.h"
+#include "game/session.h"
+#include "game/strategies.h"
 
 namespace itrim {
 namespace {
@@ -77,6 +81,52 @@ TEST(PublicBoardTest, UnboundedWhenCapacityZero) {
   PublicBoard board(0, 3);
   for (int i = 0; i < 5000; ++i) board.RecordOne(static_cast<double>(i));
   EXPECT_EQ(board.size(), 5000u);
+}
+
+// A snapshot holding more values than the target board's configured
+// capacity is rejected with InvalidArgument and leaves the target untouched.
+TEST(PublicBoardTest, RestoreRejectsOverCapacitySnapshot) {
+  PublicBoard big(/*capacity=*/0, /*seed=*/3);
+  Rng rng(21);
+  for (int i = 0; i < 80; ++i) big.RecordOne(rng.Uniform());
+  PublicBoard::Snapshot snapshot = big.Save();
+
+  PublicBoard small(/*capacity=*/50, /*seed=*/3);
+  small.RecordOne(0.25);
+  Status status = small.Restore(snapshot);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(small.size(), 1u);
+  EXPECT_EQ(small.total_recorded(), 1u);
+  EXPECT_EQ(small.Quantile(0.5).ValueOrDie(), 0.25);
+}
+
+// Session restore propagates the board's capacity-mismatch error instead
+// of silently truncating the record.
+TEST(PublicBoardTest, SessionRestoreSurfacesBoardCapacityMismatch) {
+  Dataset data = MakeControl(41, 100);
+  GameConfig config;
+  config.rounds = 6;
+  config.round_size = 100;
+  config.attack_ratio = 0.25;
+  config.board_capacity = 0;  // unbounded source: board grows past 500
+  config.seed = 13;
+  TitfortatCollector collector(+0.01, -0.03, 0.9);
+  ElasticAdversary adversary(0.5);
+  DistanceScoreModel model(&data);
+  TrimmingSession session(config, &model, &collector, &adversary, nullptr);
+  ASSERT_TRUE(session.Bootstrap().ok());
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(session.Step().ok());
+  SessionCheckpoint checkpoint = session.Checkpoint();
+  ASSERT_GT(checkpoint.board.values.size(), 100u);
+
+  GameConfig small_config = config;
+  small_config.board_capacity = 100;
+  TitfortatCollector c2(+0.01, -0.03, 0.9);
+  ElasticAdversary a2(0.5);
+  DistanceScoreModel m2(&data);
+  TrimmingSession target(small_config, &m2, &c2, &a2, nullptr);
+  Status status = target.Restore(checkpoint);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -40,7 +40,7 @@ namespace {
 // --------------------------------------------------------------------------
 
 // Replica of the seed PublicBoard: full re-sort on the first query after an
-// invalidating record. Deliberately independent of IndexedBoard so this
+// invalidating record. Deliberately independent of FlatOrderBoard so this
 // file checks the refactor end to end. bench/bench_micro_board.cc carries
 // its own copy of this frozen transcription — both are snapshots of the
 // seed code and must never diverge from it (or each other).

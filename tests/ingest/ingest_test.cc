@@ -171,14 +171,10 @@ TEST_F(IngestServiceTest, ValidatesConfigAndLifecycle) {
   EXPECT_EQ(service.Start().code(), StatusCode::kFailedPrecondition);
   EXPECT_TRUE(fleet.per_tenant_mode());
 
-  // Bad events are rejected at the door. The counters live on the obs
-  // metric slots, so an ITRIM_OBS=0 build reports zeros (the rejections
-  // themselves — the statuses above — happen either way).
+  // Bad events are rejected at the door, and counted.
   EXPECT_EQ(service.Submit({99, 1}).code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(service.Submit({0, 0}).code(), StatusCode::kInvalidArgument);
-  if (obs::kEnabled) {
-    EXPECT_EQ(service.Stats().events_rejected, 3u);  // incl. pre-Start submit
-  }
+  EXPECT_EQ(service.Stats().events_rejected, 3u);  // incl. pre-Start submit
 
   EXPECT_TRUE(service.Stop().ok());
   EXPECT_TRUE(service.Stop().ok());  // idempotent
@@ -217,13 +213,11 @@ TEST_F(IngestServiceTest, CoalescesReportsIntoRounds) {
   EXPECT_EQ(fleet.TenantRounds(1).ValueOrDie().size(), 1u);
   EXPECT_EQ(fleet.TenantRounds(2).ValueOrDie().size(), 0u);
 
-  if (obs::kEnabled) {
-    IngestStats stats = service.Stats();
-    EXPECT_EQ(stats.events_accepted, 44u);
-    EXPECT_EQ(stats.reports_enqueued, 25u + 25u + 30u + 40u + 39u);
-    EXPECT_EQ(stats.rounds_played, 3u);
-    EXPECT_EQ(stats.reports_rate_limited, 0u);
-  }
+  IngestStats stats = service.Stats();
+  EXPECT_EQ(stats.events_accepted, 44u);
+  EXPECT_EQ(stats.reports_enqueued, 25u + 25u + 30u + 40u + 39u);
+  EXPECT_EQ(stats.rounds_played, 3u);
+  EXPECT_EQ(stats.reports_rate_limited, 0u);
   EXPECT_TRUE(service.Stop().ok());
 }
 
@@ -250,11 +244,9 @@ TEST_F(IngestServiceTest, TokenBucketLimitsPerTenantAdmission) {
 
   EXPECT_EQ(fleet.TenantRounds(0).ValueOrDie().size(), 1u);
   EXPECT_EQ(fleet.TenantRounds(1).ValueOrDie().size(), 1u);
-  if (obs::kEnabled) {
-    IngestStats stats = service.Stats();
-    EXPECT_EQ(stats.reports_rate_limited, 80u);
-    EXPECT_EQ(stats.rounds_played, 2u);
-  }
+  IngestStats stats = service.Stats();
+  EXPECT_EQ(stats.reports_rate_limited, 80u);
+  EXPECT_EQ(stats.rounds_played, 2u);
   EXPECT_TRUE(service.Stop().ok());
 }
 
@@ -275,26 +267,22 @@ TEST_F(IngestServiceTest, HibernationBoundsTheResidentSet) {
   }
   ASSERT_TRUE(service.Flush().ok());
 
-  // The fleet's residency is the behavioral fact; the Stats() view of it
-  // rides the obs hibernation counters, so it only agrees when obs is on.
+  // The Stats() view of residency, derived from the hibernation counters,
+  // agrees with the fleet's own.
   EXPECT_LE(fleet.ResidentTenants(), 2u);
-  if (obs::kEnabled) {
-    IngestStats stats = service.Stats();
-    EXPECT_LE(stats.resident_tenants, 2u);
-    EXPECT_GE(stats.hibernations, 4u);
-    EXPECT_EQ(stats.rounds_played, 6u);
-    EXPECT_EQ(fleet.ResidentTenants(), stats.resident_tenants);
-  }
+  IngestStats stats = service.Stats();
+  EXPECT_LE(stats.resident_tenants, 2u);
+  EXPECT_GE(stats.hibernations, 4u);
+  EXPECT_EQ(stats.rounds_played, 6u);
+  EXPECT_EQ(fleet.ResidentTenants(), stats.resident_tenants);
 
   // Traffic for a hibernated tenant rehydrates it transparently.
   const uint64_t parked = 0;
   ASSERT_FALSE(fleet.TenantResident(parked));
   ASSERT_TRUE(service.Submit({parked, 40}).ok());
   ASSERT_TRUE(service.Flush().ok());
-  if (obs::kEnabled) {
-    EXPECT_GE(service.Stats().rehydrations, 1u);
-    EXPECT_LE(service.Stats().resident_tenants, 2u);
-  }
+  EXPECT_GE(service.Stats().rehydrations, 1u);
+  EXPECT_LE(service.Stats().resident_tenants, 2u);
   EXPECT_EQ(fleet.TenantRounds(parked).ValueOrDie().size(), 2u);
   EXPECT_LE(fleet.ResidentTenants(), 2u);
   EXPECT_TRUE(service.Stop().ok());

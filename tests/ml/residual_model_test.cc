@@ -1,11 +1,12 @@
 // ResidualScoreModel in the interactive game: batch-vs-scalar scoring
 // bit-identity across kernel variants, full sessions under both trim
 // references, checkpoint/restore bit-identity at every split point, board
-// backend independence, and fleet thread-count determinism.
+// exactness against the sorted oracle, and fleet thread-count determinism.
 #include "ml/residual_score_model.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "game/reference_policy.h"
 #include "game/session.h"
 #include "game/strategies.h"
+#include "stats/quantile.h"
 
 #include "game/summary_test_util.h"
 
@@ -29,14 +31,13 @@ struct VariantGuard {
   ~VariantGuard() { kernels::ResetVariant(); }
 };
 
-GameConfig ResidualConfig(uint64_t seed, BoardBackend backend) {
+GameConfig ResidualConfig(uint64_t seed) {
   GameConfig config;
   config.rounds = 10;
   config.round_size = 60;
   config.attack_ratio = 0.2;
   config.bootstrap_size = 120;
   config.board_capacity = 512;
-  config.board_backend = backend;
   config.seed = seed;
   return config;
 }
@@ -93,9 +94,8 @@ TEST(ResidualScoreModelTest, SessionRunsUnderBothReferences) {
     ElasticCollector collector(0.5);
     FlipShiftAdversary adversary;
     FittedModelReference reference;
-    TrimmingSession session(ResidualConfig(71, BoardBackend::kFlat), &model,
-                            &collector, &adversary, nullptr,
-                            fitted ? &reference : nullptr);
+    TrimmingSession session(ResidualConfig(71), &model, &collector,
+                            &adversary, nullptr, fitted ? &reference : nullptr);
     ASSERT_TRUE(session.Bootstrap().ok());
     auto summary = session.RunToCompletion();
     ASSERT_TRUE(summary.ok()) << summary.status().ToString();
@@ -119,7 +119,7 @@ TEST(ResidualScoreModelTest, CheckpointRestoreBitIdenticalAtEverySplit) {
     for (bool fitted : {false, true}) {
       SCOPED_TRACE(std::string(PoisonShapeName(shape)) + "/" +
                    (fitted ? "fitted_model" : "percentile"));
-      GameConfig config = ResidualConfig(83, BoardBackend::kFlat);
+      GameConfig config = ResidualConfig(83);
       config.rounds = kRounds;
 
       auto run_rounds = [&](TrimmingSession* session, int n) {
@@ -162,24 +162,35 @@ TEST(ResidualScoreModelTest, CheckpointRestoreBitIdenticalAtEverySplit) {
   }
 }
 
-// The board backend is an implementation detail: flat and treap boards
-// produce the same game stream bit for bit.
-TEST(ResidualScoreModelTest, BoardBackendsProduceIdenticalStreams) {
+// After a full residual game on a board capped below the bootstrap sample
+// (so the reservoir engages), the board's order statistics are
+// bit-identical to the sorted oracle over the values it holds.
+TEST(ResidualScoreModelTest, BoardMatchesSortedOracleAfterSession) {
   RegressionData source = MakeSyntheticRegression(400, 3, 0.1, 59);
-  GameSummary summaries[2];
-  const BoardBackend backends[] = {BoardBackend::kFlat, BoardBackend::kTreap};
-  for (int b = 0; b < 2; ++b) {
-    ResidualScoreModel model(&source);
-    ElasticCollector collector(0.5);
-    FlipShiftAdversary adversary;
-    FittedModelReference reference;
-    TrimmingSession session(ResidualConfig(91, backends[b]), &model,
-                            &collector, &adversary, nullptr, &reference);
-    ASSERT_TRUE(session.Bootstrap().ok());
-    ASSERT_TRUE(session.RunToCompletion().ok());
-    summaries[b] = session.Finish();
+  ResidualScoreModel model(&source);
+  ElasticCollector collector(0.5);
+  FlipShiftAdversary adversary;
+  FittedModelReference reference;
+  GameConfig config = ResidualConfig(91);
+  config.board_capacity = 64;
+  TrimmingSession session(config, &model, &collector, &adversary, nullptr,
+                          &reference);
+  ASSERT_TRUE(session.Bootstrap().ok());
+  ASSERT_TRUE(session.RunToCompletion().ok());
+  const PublicBoard& board = session.board();
+  ASSERT_GT(board.total_recorded(), board.size());
+  std::vector<double> sorted = board.values();
+  std::sort(sorted.begin(), sorted.end());
+  for (double q : {0.0, 0.05, 0.1, 0.5, 0.9, 0.95, 1.0}) {
+    EXPECT_TRUE(BitEqual(board.Quantile(q).ValueOrDie(),
+                         QuantileSorted(sorted, q)))
+        << "q=" << q;
   }
-  ExpectSummaryBitIdentical(summaries[0], summaries[1]);
+  for (size_t i = 0; i < sorted.size(); i += 17) {
+    EXPECT_TRUE(BitEqual(board.PercentileRank(sorted[i]),
+                         PercentileRankSorted(sorted, sorted[i])))
+        << "x=" << sorted[i];
+  }
 }
 
 // Residual tenants in a fleet: 1-thread and N-thread lockstep runs are bit
@@ -197,7 +208,7 @@ TEST(ResidualScoreModelTest, FleetThreadCountInvariantForResidualTenants) {
     spec.reference = (i % 3 == 0) ? TenantReferenceKind::kFittedModel
                                   : TenantReferenceKind::kPercentile;
     spec.scheme = SchemeId::kElastic05;
-    spec.game = ResidualConfig(0, BoardBackend::kFlat);
+    spec.game = ResidualConfig(0);
     specs.push_back(spec);
   }
 
@@ -274,7 +285,7 @@ TEST(ResidualScoreModelTest, HibernationBitIdenticalAtEverySplit) {
     spec.regression = &source;
     spec.reference = reference;
     spec.scheme = SchemeId::kElastic05;
-    spec.game = ResidualConfig(0, BoardBackend::kFlat);
+    spec.game = ResidualConfig(0);
 
     auto make_fleet = [&]() {
       FleetConfig config;

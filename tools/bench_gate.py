@@ -41,7 +41,7 @@ Individual cases can gate tighter (or looser) than the run-wide default:
 a baseline case carrying a "gate_tolerance" key (fraction in [0, 1)) uses
 that value instead. The bench binaries never emit this key — it is added
 by hand to the checked-in baseline for cases whose workload is stable
-enough to hold a tighter line (e.g. the board backend microbenches gate
+enough to hold a tighter line (e.g. the board microbenches gate
 at 25%), and must be re-added when the baseline is refreshed.
 
 Baseline update procedure (see README "Benchmarking & perf telemetry"):
