@@ -1,6 +1,6 @@
 // Arrival-driven ingestion benchmark and determinism gate.
 //
-// Two phases:
+// Three phases:
 //
 //   1. Determinism gate (both modes): drives a heterogeneous tenant mix
 //      through IngestService at several shard counts — including a
@@ -15,8 +15,12 @@
 //      counters. The full (non-smoke) mode enforces the 200k reports/s
 //      acceptance floor in-binary; the CI perf gate holds the same case
 //      against bench/baselines/BENCH_ingest.json.
+//   3. Rehydration per model kind (`rehydrate/<model>`): tenants of one
+//      kind are parked and rehydrated one at a time, reporting the
+//      rehydration p50/p90 and the parked bytes per tenant (checkpoint
+//      plus the kept, calibrated score model; see ParkedBytes).
 //
-// `--smoke` shrinks both phases and is registered with ctest as
+// `--smoke` shrinks every phase and is registered with ctest as
 // bench/bench_ingest_smoke. Knobs: ITRIM_BENCH_TENANTS,
 // ITRIM_BENCH_ROUNDS, --jobs N (shard count).
 #include <algorithm>
@@ -25,6 +29,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/alloc_counter.h"
@@ -38,6 +43,7 @@
 #include "ingest/ingest.h"
 #include "ldp/attacks.h"
 #include "ldp/mechanism.h"
+#include "ml/linreg.h"
 #include "stats/quantile.h"
 
 namespace itrim {
@@ -54,6 +60,7 @@ struct IngestFixture {
   Dataset data;
   std::vector<double> population;
   PiecewiseMechanism mechanism{2.0};
+  RegressionData regression = MakeSyntheticRegression(600, 3, 0.05, 47);
   std::vector<std::unique_ptr<LdpAttack>> attacks;
 
   IngestFixture() {
@@ -65,44 +72,58 @@ struct IngestFixture {
     for (int i = 0; i < 3000; ++i) population.push_back(rng.Uniform(-1.0, 1.0));
   }
 
-  std::vector<TenantSpec> BuildSpecs(size_t tenants) {
+  // Tenant i of model kind `model`; residual tenants play the fitted-model
+  // reference, as in the perfbench workloads.
+  TenantSpec MakeSpec(size_t i, TenantModelKind model) {
     const std::vector<SchemeId> schemes = AllSchemes();
+    TenantSpec spec;
+    spec.name = "t" + std::to_string(i);
+    spec.model = model;
+    spec.scheme = schemes[i % schemes.size()];
+    spec.game.round_size = 30;
+    spec.game.bootstrap_size = 40;
+    spec.game.board_capacity = 512;
+    spec.game.attack_ratio = 0.10 + 0.05 * static_cast<double>(i % 3);
+    spec.game.round_mass_trimming = (i % 2) == 0;
+    switch (spec.model) {
+      case TenantModelKind::kScalar:
+        spec.scalar_pool = &pool;
+        break;
+      case TenantModelKind::kDistance:
+        spec.dataset = &data;
+        break;
+      case TenantModelKind::kLdp:
+        spec.ldp_population = &population;
+        spec.ldp_mechanism = &mechanism;
+        attacks.push_back(std::make_unique<InputManipulationAttack>(1.0));
+        spec.ldp_attack = attacks.back().get();
+        break;
+      case TenantModelKind::kResidual:
+        spec.regression = &regression;
+        spec.reference = TenantReferenceKind::kFittedModel;
+        break;
+    }
+    return spec;
+  }
+
+  // The throughput mix: scalar, distance and LDP tenants in rotation.
+  std::vector<TenantSpec> BuildSpecs(size_t tenants) {
     std::vector<TenantSpec> specs;
     specs.reserve(tenants);
     for (size_t i = 0; i < tenants; ++i) {
-      TenantSpec spec;
-      spec.name = "t" + std::to_string(i);
-      spec.model = static_cast<TenantModelKind>(i % 3);
-      spec.scheme = schemes[i % schemes.size()];
-      spec.game.round_size = 30;
-      spec.game.bootstrap_size = 40;
-      spec.game.board_capacity = 512;
-      spec.game.attack_ratio = 0.10 + 0.05 * static_cast<double>(i % 3);
-      spec.game.round_mass_trimming = (i % 2) == 0;
-      switch (spec.model) {
-        case TenantModelKind::kScalar:
-          spec.scalar_pool = &pool;
-          break;
-        case TenantModelKind::kDistance:
-          spec.dataset = &data;
-          break;
-        case TenantModelKind::kLdp:
-          spec.ldp_population = &population;
-          spec.ldp_mechanism = &mechanism;
-          attacks.push_back(std::make_unique<InputManipulationAttack>(1.0));
-          spec.ldp_attack = attacks.back().get();
-          break;
-      }
-      specs.push_back(spec);
+      specs.push_back(MakeSpec(i, static_cast<TenantModelKind>(i % 3)));
     }
     return specs;
   }
 
-  SessionFleet MakeFleet(size_t tenants) {
+  SessionFleet MakeFleet(std::vector<TenantSpec> specs) {
     FleetConfig config;
     config.threads = 1;
     config.seed = 4242;
-    return SessionFleet(config, BuildSpecs(tenants));
+    return SessionFleet(config, std::move(specs));
+  }
+  SessionFleet MakeFleet(size_t tenants) {
+    return MakeFleet(BuildSpecs(tenants));
   }
 };
 
@@ -301,6 +322,55 @@ SustainedResult RunSustained(IngestFixture* fixture, size_t tenants,
   return result;
 }
 
+struct RehydrateResult {
+  std::vector<double> rehydrate_us;  ///< one sample per rehydration
+  double total_ms = 0.0;
+  double parked_bytes_per_tenant = 0.0;
+  bool ok = false;
+};
+
+// Phase 3: rehydration cost and parked memory of one model kind. Every
+// tenant plays a round, then each cycle parks it, times its rehydration
+// alone and plays one more round, so each restore replays a growing book
+// just like an evicted tenant under churn.
+RehydrateResult RunRehydrate(IngestFixture* fixture, TenantModelKind model,
+                             size_t tenants, int cycles) {
+  RehydrateResult result;
+  std::vector<TenantSpec> specs;
+  for (size_t i = 0; i < tenants; ++i) {
+    specs.push_back(fixture->MakeSpec(i, model));
+  }
+  SessionFleet fleet = fixture->MakeFleet(std::move(specs));
+  if (!fleet.Bootstrap().ok() || !fleet.BeginPerTenantStepping().ok()) {
+    return result;
+  }
+  for (size_t i = 0; i < tenants; ++i) {
+    if (!fleet.StepTenant(i).ok()) return result;
+  }
+  result.rehydrate_us.reserve(tenants * static_cast<size_t>(cycles));
+  double parked_bytes = 0.0;
+  for (int c = 0; c < cycles; ++c) {
+    for (size_t i = 0; i < tenants; ++i) {
+      if (!fleet.HibernateTenant(i).ok()) return result;
+      if (c == 0) {
+        parked_bytes += static_cast<double>(ParkedBytes(fleet.tenant(i)));
+      }
+      const auto t0 = std::chrono::steady_clock::now();
+      if (!fleet.RehydrateTenant(i).ok()) return result;
+      const auto t1 = std::chrono::steady_clock::now();
+      const double us =
+          std::chrono::duration<double, std::micro>(t1 - t0).count();
+      result.rehydrate_us.push_back(us);
+      result.total_ms += us / 1000.0;
+      if (!fleet.StepTenant(i).ok()) return result;
+    }
+  }
+  result.parked_bytes_per_tenant =
+      parked_bytes / static_cast<double>(tenants);
+  result.ok = true;
+  return result;
+}
+
 }  // namespace
 }  // namespace itrim
 
@@ -363,6 +433,36 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "FAIL: hibernation never engaged during the "
                  "sustained measurement\n");
     return 1;
+  }
+
+  // Phase 3: per-model rehydration p50 and parked bytes per tenant.
+  const size_t rehydrate_tenants = smoke ? 16 : 64;
+  const int rehydrate_cycles = smoke ? 8 : 16;
+  const TenantModelKind kinds[] = {
+      TenantModelKind::kScalar, TenantModelKind::kDistance,
+      TenantModelKind::kLdp, TenantModelKind::kResidual};
+  for (TenantModelKind kind : kinds) {
+    RehydrateResult r =
+        RunRehydrate(&fixture, kind, rehydrate_tenants, rehydrate_cycles);
+    if (!r.ok) {
+      std::fprintf(stderr, "FAIL: rehydrate/%s run failed\n",
+                   TenantModelKindName(kind).c_str());
+      return 1;
+    }
+    const double p50 = Quantile(r.rehydrate_us, 0.5);
+    const double p90 = Quantile(r.rehydrate_us, 0.9);
+    reporter.AddCase("rehydrate/" + TenantModelKindName(kind))
+        .Iterations(static_cast<uint64_t>(rehydrate_cycles))
+        .Ops(r.rehydrate_us.size())
+        .WallMs(r.total_ms)
+        .Counter("tenants", static_cast<double>(rehydrate_tenants))
+        .Counter("p50_us", p50)
+        .Counter("p90_us", p90)
+        .Counter("parked_bytes_per_tenant", r.parked_bytes_per_tenant);
+    std::printf("rehydrate/%s: %zu rehydrations, p50 %.2f us, p90 %.2f us, "
+                "%.0f parked bytes/tenant\n",
+                TenantModelKindName(kind).c_str(), r.rehydrate_us.size(),
+                p50, p90, r.parked_bytes_per_tenant);
   }
 
   // The acceptance floor runs only in the full mode: smoke runs on

@@ -60,6 +60,46 @@ uint64_t DeriveTenantSeed(uint64_t fleet_seed, size_t tenant_index) {
   return stream.Next();
 }
 
+namespace {
+
+// The live objects a resident tenant adds around its score model: the
+// scheme's strategies, the owned trim reference and the session borrowing
+// them. Built the same way at materialization and at rehydration, so the
+// LDP/adversary wiring exists once.
+struct SessionParts {
+  SchemeInstance scheme;
+  std::unique_ptr<ReferencePolicy> reference;
+  std::unique_ptr<TrimmingSession> session;
+};
+
+SessionParts AssembleSession(const TenantSpec& spec, const GameConfig& config,
+                             ScoreModel* model) {
+  SessionParts parts;
+  parts.scheme = MakeScheme(spec.scheme, config.tth, spec.scheme_options);
+  // LDP poison is materialized by the attack; the session runs without an
+  // AdversaryStrategy, exactly like the LdpCollectionGame path (an
+  // adversary would consume RNG draws the LDP stream never did).
+  AdversaryStrategy* adversary = spec.model == TenantModelKind::kLdp
+                                     ? nullptr
+                                     : parts.scheme.adversary.get();
+  if (spec.reference == TenantReferenceKind::kFittedModel) {
+    parts.reference =
+        std::make_unique<FittedModelReference>(spec.fitted_reference);
+  }
+  parts.session = std::make_unique<TrimmingSession>(
+      config, model, parts.scheme.collector.get(), adversary,
+      parts.scheme.quality.get(), parts.reference.get());
+  return parts;
+}
+
+void InstallSession(Tenant* tenant, SessionParts parts) {
+  tenant->scheme = std::move(parts.scheme);
+  tenant->reference = std::move(parts.reference);
+  tenant->session = std::move(parts.session);
+}
+
+}  // namespace
+
 Result<Tenant> MaterializeTenant(const TenantSpec& spec, uint64_t seed) {
   ITRIM_RETURN_NOT_OK(spec.Validate());
   Tenant tenant;
@@ -70,30 +110,29 @@ Result<Tenant> MaterializeTenant(const TenantSpec& spec, uint64_t seed) {
     // Clean reference tenant, as in the experiment runners.
     tenant.config.attack_ratio = 0.0;
   }
-  tenant.scheme =
-      MakeScheme(spec.scheme, tenant.config.tth, spec.scheme_options);
-
-  AdversaryStrategy* adversary = tenant.scheme.adversary.get();
-  ScoreModelInputs inputs = spec.ModelInputs();
-  inputs.ldp_tth = tenant.config.tth;
   if (spec.model == TenantModelKind::kLdp) {
-    // Poison is materialized by the attack; the session runs without an
-    // AdversaryStrategy, exactly like the LdpCollectionGame path (an
-    // adversary would consume RNG draws the LDP stream never did).
-    adversary = nullptr;
     // The symmetric band trim is defined against the board reference.
     tenant.config.round_mass_trimming = false;
   }
+  ScoreModelInputs inputs = spec.ModelInputs();
+  inputs.ldp_tth = tenant.config.tth;
   ITRIM_ASSIGN_OR_RETURN(tenant.model, MakeScoreModel(spec.model, inputs));
   tenant.model->set_retain_survivors(spec.retain_survivors);
-  if (spec.reference == TenantReferenceKind::kFittedModel) {
-    tenant.reference =
-        std::make_unique<FittedModelReference>(spec.fitted_reference);
-  }
-  tenant.session = std::make_unique<TrimmingSession>(
-      tenant.config, tenant.model.get(), tenant.scheme.collector.get(),
-      adversary, tenant.scheme.quality.get(), tenant.reference.get());
+  InstallSession(&tenant,
+                 AssembleSession(spec, tenant.config, tenant.model.get()));
   return tenant;
+}
+
+size_t ParkedBytes(const Tenant& tenant) {
+  size_t bytes = 0;
+  if (tenant.hibernated != nullptr) {
+    const SessionCheckpoint& c = tenant.hibernated->checkpoint;
+    bytes += sizeof(TenantHibernation) +
+             c.records.capacity() * sizeof(RoundRecord) +
+             c.board.values.capacity() * sizeof(double);
+  }
+  if (tenant.model != nullptr) bytes += tenant.model->FootprintBytes();
+  return bytes;
 }
 
 Status HibernateTenant(Tenant* tenant) {
@@ -109,11 +148,11 @@ Status HibernateTenant(Tenant* tenant) {
   parked->termination_round = tenant->scheme.collector->termination_round();
   // Release the live objects only after the checkpoint is safely captured;
   // the session borrows the model, reference and strategies, so it goes
-  // first.
+  // first. The model stays, calibrated, with its per-round buffers freed.
   tenant->session.reset();
-  tenant->model.reset();
   tenant->reference.reset();
   tenant->scheme = SchemeInstance{};
+  tenant->model->ReleaseRoundBuffers();
   tenant->hibernated = std::move(parked);
   return Status::OK();
 }
@@ -122,22 +161,22 @@ Status RehydrateTenant(Tenant* tenant) {
   if (tenant->resident()) {
     return Status::FailedPrecondition("tenant is already resident");
   }
-  if (tenant->hibernated == nullptr) {
+  if (tenant->hibernated == nullptr || tenant->model == nullptr) {
     return Status::FailedPrecondition(
         "tenant was never materialized/hibernated");
   }
-  // Build the fresh tenant on the side so a failed restore leaves this one
-  // parked and intact. The effective config's seed is the derived seed the
-  // tenant originally ran with, so the rebuilt bootstrap replays the exact
-  // round-0 draws the checkpoint's stream continued from.
-  ITRIM_ASSIGN_OR_RETURN(Tenant fresh,
-                         MaterializeTenant(tenant->spec, tenant->config.seed));
-  ITRIM_RETURN_NOT_OK(fresh.session->Restore(tenant->hibernated->checkpoint));
-  // Carry the observability sinks across the rebuild (the fresh session
-  // starts with none attached).
-  fresh.obs = tenant->obs;
-  fresh.session->set_observability(fresh.obs);
-  *tenant = std::move(fresh);  // drops `hibernated` (fresh's is null)
+  // Assemble the session around the kept model on the side, so a failed
+  // restore leaves this tenant parked and intact. The effective config
+  // carries the derived seed the tenant was calibrated under, so the
+  // restore reuses the model's calibration instead of re-running the
+  // bootstrap.
+  SessionParts parts =
+      AssembleSession(tenant->spec, tenant->config, tenant->model.get());
+  ITRIM_RETURN_NOT_OK(parts.session->Restore(tenant->hibernated->checkpoint));
+  // The fresh session starts with no sinks attached; carry the tenant's.
+  parts.session->set_observability(tenant->obs);
+  InstallSession(tenant, std::move(parts));
+  tenant->hibernated.reset();
   return Status::OK();
 }
 

@@ -92,11 +92,13 @@ struct TenantSpec {
   Status Validate() const;
 };
 
-/// \brief Compact parked state of a hibernated tenant: the session
+/// \brief Parked stream state of a hibernated tenant: the session
 /// checkpoint (board values + round records + RNG) plus the one summary
 /// field the checkpoint cannot reconstruct without the live collector.
-/// Everything else — strategies, score-model geometry and pools, the
-/// board's order-statistic index — is rebuilt on rehydration.
+/// The calibrated score model is not in here: it stays on the Tenant
+/// (`Tenant::model`) across hibernation. Strategies, the trim reference,
+/// the session and the board's order-statistic index are rebuilt on
+/// rehydration.
 struct TenantHibernation {
   SessionCheckpoint checkpoint;
   int termination_round = 0;
@@ -107,9 +109,12 @@ struct TenantHibernation {
 /// Movable, not copyable. The session borrows the other members, which are
 /// heap-owned, so moving a Tenant keeps every borrowed pointer valid.
 ///
-/// A tenant is either *resident* (session/model/strategies live,
-/// `hibernated` null) or *hibernated* (live objects released, state parked
-/// in `hibernated`); HibernateTenant/RehydrateTenant flip between the two.
+/// A tenant is either *resident* (session/strategies live, `hibernated`
+/// null) or *hibernated* (session, strategies and reference released,
+/// stream state parked in `hibernated`); HibernateTenant/RehydrateTenant
+/// flip between the two. The score model lives in both states: a parked
+/// tenant keeps its calibration (with the per-round buffers freed), so
+/// rehydration does not re-run the bootstrap.
 struct Tenant {
   TenantSpec spec;             ///< the spec this tenant was built from
   GameConfig config;           ///< effective config (derived seed applied)
@@ -142,16 +147,26 @@ uint64_t DeriveTenantSeed(uint64_t fleet_seed, size_t tenant_index);
 Result<Tenant> MaterializeTenant(const TenantSpec& spec, uint64_t seed);
 
 /// \brief Evicts a quiet tenant to its compact checkpoint: captures the
-/// session state, then releases the session, score model and strategies.
+/// session state, then releases the session, the trim reference and the
+/// strategies. The score model is kept with its calibration; its per-round
+/// buffers and retained store are freed (ScoreModel::ReleaseRoundBuffers).
 /// Requires a resident, bootstrapped tenant. The tenant's spec and
 /// effective config stay behind, so rehydration needs no external input.
 Status HibernateTenant(Tenant* tenant);
 
-/// \brief Rebuilds a hibernated tenant from its spec and restores the
-/// parked checkpoint; the subsequent stream is bit-identical to never
-/// having hibernated (the session checkpoint/restore contract). On error
-/// the tenant is left untouched (still hibernated).
+/// \brief Rebuilds a hibernated tenant's strategies, reference and session
+/// around its kept model and restores the parked checkpoint. The restore
+/// reuses the model's calibration (TrimmingSession::Restore), so it costs
+/// about a round, not a bootstrap. The subsequent stream is bit-identical
+/// to never having hibernated (the session checkpoint/restore contract).
+/// On error the tenant is left untouched (still hibernated, model kept).
 Status RehydrateTenant(Tenant* tenant);
+
+/// \brief Bytes a tenant holds while parked: the checkpoint (records and
+/// board values, by capacity) plus the kept score model
+/// (ScoreModel::FootprintBytes). Borrowed data sources are not counted.
+/// For a resident tenant it counts the model alone.
+size_t ParkedBytes(const Tenant& tenant);
 
 }  // namespace itrim
 

@@ -38,8 +38,11 @@ Result<PositionMap> PositionMap::Build(
   std::vector<double> qvec(dims);
   for (size_t i = 0; i < knots; ++i) {
     double a = kGridLo + static_cast<double>(i) * kGridStep;
+    // Every column has sample.size() values, so the knot's read point is
+    // shared by all of them (QuantileAt is bit-identical to QuantileSorted).
+    const QuantilePoint point = QuantilePointOf(sample.size(), a);
     for (size_t j = 0; j < dims; ++j) {
-      qvec[j] = QuantileSorted(columns[j], a);
+      qvec[j] = QuantileAt(columns[j], point);
     }
     map.grid_distance_[i] = EuclideanDistance(qvec, map.centroid_);
   }
@@ -54,8 +57,9 @@ Result<PositionMap> PositionMap::Build(
     return Status::InvalidArgument("sample has no spread around centroid");
   }
   // Canonical adversarial direction: toward the 0.95 quantile vector.
+  const QuantilePoint upper = QuantilePointOf(sample.size(), 0.95);
   for (size_t j = 0; j < dims; ++j) {
-    qvec[j] = QuantileSorted(columns[j], 0.95);
+    qvec[j] = QuantileAt(columns[j], upper);
   }
   map.quantile_direction_.resize(dims);
   double norm = EuclideanDistance(qvec, map.centroid_);
@@ -65,6 +69,13 @@ Result<PositionMap> PositionMap::Build(
   }
   map.BuildInversionIndex();
   return map;
+}
+
+size_t PositionMap::HeapBytes() const {
+  return (centroid_.capacity() + quantile_direction_.capacity() +
+          grid_distance_.capacity()) *
+             sizeof(double) +
+         inv_bucket_start_.capacity() * sizeof(uint32_t);
 }
 
 void PositionMap::BuildInversionIndex() {

@@ -89,6 +89,9 @@ class PositionMap {
   /// \brief Number of grid knots (for introspection/tests).
   size_t grid_size() const { return grid_distance_.size(); }
 
+  /// \brief Heap bytes the map's buffers hold (capacity, not size).
+  size_t HeapBytes() const;
+
  private:
   static constexpr double kGridLo = 0.5;
   static constexpr double kGridStep = 0.005;

@@ -144,6 +144,20 @@ void IdentityScoreModel::Commit(std::span<const char> keep) {
   }
 }
 
+void IdentityScoreModel::ReleaseRoundBuffers() {
+  FreeVector(&values_);
+  FreeVector(&is_poison_);
+  FreeVector(&index_scratch_);
+  FreeVector(&retained_);
+  FreeVector(&retained_is_poison_);
+}
+
+size_t IdentityScoreModel::FootprintBytes() const {
+  return sizeof(*this) + CapacityBytes(values_) + CapacityBytes(is_poison_) +
+         CapacityBytes(index_scratch_) + CapacityBytes(retained_) +
+         CapacityBytes(retained_is_poison_);
+}
+
 // ---------------------------------------------------------------------------
 // DistanceScoreModel
 // ---------------------------------------------------------------------------
@@ -179,25 +193,31 @@ Status DistanceScoreModel::Bootstrap(size_t bootstrap_size, Rng* rng,
   centroid_ = position_map_.centroid();
   // Board seeding and the source-score cache both run through the batched
   // kernel sweep; the doubles match per-row scoring exactly (the kernel
-  // shares the canonical distance with PositionOfRow).
-  std::vector<double> flat(bootstrap_size * dims_);
-  for (size_t i = 0; i < bootstrap_size; ++i) {
-    std::copy(bootstrap[i].begin(), bootstrap[i].end(),
-              flat.begin() + static_cast<ptrdiff_t>(i * dims_));
-  }
+  // shares the canonical distance with PositionOfRow). Rows are scored
+  // independently, so a bounded chunk of them at a time gives the same
+  // doubles as one sweep over a flat copy of the whole source.
+  constexpr size_t kChunkRows = 64;
+  std::vector<double> chunk(kChunkRows * dims_);
+  auto score_rows = [&](const std::vector<std::vector<double>>& rows,
+                        std::span<double> out) {
+    for (size_t begin = 0; begin < rows.size(); begin += kChunkRows) {
+      const size_t n = std::min(kChunkRows, rows.size() - begin);
+      for (size_t i = 0; i < n; ++i) {
+        std::copy(rows[begin + i].begin(), rows[begin + i].end(),
+                  chunk.begin() + static_cast<ptrdiff_t>(i * dims_));
+      }
+      position_map_.PositionsOfRows(
+          std::span<const double>(chunk).first(n * dims_), n,
+          out.subspan(begin, n));
+    }
+  };
   std::vector<double> positions(bootstrap_size);
-  position_map_.PositionsOfRows(flat, bootstrap_size, positions);
+  score_rows(bootstrap, positions);
   for (double p : positions) {
     board->RecordOne(p);
   }
-  const size_t n_source = source_->rows.size();
-  flat.resize(n_source * dims_);
-  for (size_t i = 0; i < n_source; ++i) {
-    std::copy(source_->rows[i].begin(), source_->rows[i].end(),
-              flat.begin() + static_cast<ptrdiff_t>(i * dims_));
-  }
-  source_scores_.resize(n_source);
-  position_map_.PositionsOfRows(flat, n_source, source_scores_);
+  source_scores_.resize(source_->rows.size());
+  score_rows(source_->rows, source_scores_);
   return Status::OK();
 }
 
@@ -332,6 +352,34 @@ void DistanceScoreModel::Commit(std::span<const char> keep) {
       retained_is_poison_.push_back(is_poison_[i]);
     }
   }
+}
+
+void DistanceScoreModel::ReleaseRoundBuffers() {
+  // Kept: the geometry, the source-score cache and the poison scratch row
+  // (one row, sized by BeginRun()).
+  FreeVector(&direction_);
+  FreeVector(&row_data_);
+  rows_used_ = 0;
+  FreeVector(&index_scratch_);
+  FreeVector(&labels_);
+  FreeVector(&scores_);
+  FreeVector(&is_poison_);
+  retained_ = Dataset{};
+  FreeVector(&retained_is_poison_);
+}
+
+size_t DistanceScoreModel::FootprintBytes() const {
+  size_t retained_rows = CapacityBytes(retained_.rows);
+  for (const std::vector<double>& row : retained_.rows) {
+    retained_rows += CapacityBytes(row);
+  }
+  return sizeof(*this) + position_map_.HeapBytes() + CapacityBytes(centroid_) +
+         CapacityBytes(direction_) + CapacityBytes(source_scores_) +
+         CapacityBytes(poison_row_scratch_) + CapacityBytes(row_data_) +
+         CapacityBytes(index_scratch_) + CapacityBytes(labels_) +
+         CapacityBytes(scores_) + CapacityBytes(is_poison_) + retained_rows +
+         CapacityBytes(retained_.labels) + retained_.name.capacity() +
+         CapacityBytes(retained_is_poison_);
 }
 
 }  // namespace itrim

@@ -207,6 +207,21 @@ class ScoreModel {
   void set_retain_survivors(bool retain) { retain_survivors_ = retain; }
   bool retain_survivors() const { return retain_survivors_; }
 
+  /// \brief Frees the per-round buffers and the retained store while
+  /// keeping the calibration (geometry, cached source scores). A parked
+  /// tenant calls this so its kept model holds only what a restore reuses;
+  /// the next BeginRun()/BeginRound() re-grows what it needs.
+  virtual void ReleaseRoundBuffers() = 0;
+
+  /// \brief Bytes this model holds: the object itself plus the capacity of
+  /// every buffer it owns (borrowed data sources are not counted).
+  virtual size_t FootprintBytes() const = 0;
+
+  /// \brief Number of times a TrimmingSession calibrated this model (a
+  /// successful session Bootstrap()). A restore that reuses the
+  /// calibration does not count.
+  uint64_t calibrations() const { return calibrations_; }
+
  protected:
   /// \brief Scores one flat observation payload of ObsWidth() doubles —
   /// the model's scoring *definition*, which both public paths must match
@@ -218,7 +233,31 @@ class ScoreModel {
   Status CheckScoreSpans(std::span<const double> obs,
                          std::span<double> out) const;
 
+  /// \brief Heap bytes a vector holds (its capacity, not its size).
+  template <typename T>
+  static size_t CapacityBytes(const std::vector<T>& v) {
+    return v.capacity() * sizeof(T);
+  }
+  /// \brief Empties a vector and returns its storage to the allocator.
+  template <typename T>
+  static void FreeVector(std::vector<T>* v) {
+    std::vector<T>().swap(*v);
+  }
+
   bool retain_survivors_ = true;
+
+ private:
+  // Calibration identity, written only by TrimmingSession: Bootstrap()
+  // clears it before touching the model and sets it on success; Restore()
+  // reuses the model's geometry when it matches the session's seed and
+  // bootstrap size (the calibration is a pure function of those and the
+  // model's borrowed source). Calling BeginRun()/Bootstrap() on the model
+  // directly bypasses the stamp, so do not mix that with session restores.
+  friend class TrimmingSession;
+  bool calibrated_ = false;
+  uint64_t calibrated_seed_ = 0;
+  size_t calibrated_bootstrap_size_ = 0;
+  uint64_t calibrations_ = 0;
 };
 
 /// \brief Scalar (1-D) setting: scores are the values themselves.
@@ -244,6 +283,8 @@ class IdentityScoreModel : public ScoreModel {
   Status TrimAtReference(double percentile, const PublicBoard& board,
                          TrimOutcome* out) override;
   void Commit(std::span<const char> keep) override;
+  void ReleaseRoundBuffers() override;
+  size_t FootprintBytes() const override;
 
   /// \brief Retained values accumulated since BeginRun().
   const std::vector<double>& retained() const { return retained_; }
@@ -298,6 +339,8 @@ class DistanceScoreModel : public ScoreModel {
   Status TrimAtReference(double percentile, const PublicBoard& board,
                          TrimOutcome* out) override;
   void Commit(std::span<const char> keep) override;
+  void ReleaseRoundBuffers() override;
+  size_t FootprintBytes() const override;
 
   /// \brief Survivor rows + labels accumulated since BeginRun() (poison
   /// rows carry adversary-chosen labels).

@@ -203,10 +203,7 @@ TrimmingSession::TrimmingSession(GameConfig config, ScoreModel* model,
   assert(collector != nullptr);
 }
 
-Status TrimmingSession::Bootstrap() {
-  // A failed (re-)bootstrap must leave the session un-steppable, not
-  // half-reset over the previous run's state.
-  bootstrapped_ = false;
+Status TrimmingSession::CheckPlayable() const {
   ITRIM_RETURN_NOT_OK(config_status_);
   if (adversary_ == nullptr && config_.attack_ratio > 0.0 &&
       model_->RequiresAdversaryPositions()) {
@@ -214,20 +211,12 @@ Status TrimmingSession::Bootstrap() {
         "score model needs an AdversaryStrategy to position its poison; "
         "pass one or set attack_ratio = 0");
   }
-  ITRIM_RETURN_NOT_OK(reference_->Validate(*model_));
-  ITRIM_RETURN_NOT_OK(model_->BeginRun());
-  rng_ = Rng(config_.seed);
+  return reference_->Validate(*model_);
+}
+
+void TrimmingSession::ResetStream() {
   collector_->Reset();
   if (adversary_ != nullptr) adversary_->Reset();
-  board_.Clear();
-  // Round 0: a clean calibration sample seeds the public board and fixes
-  // the percentile reference both parties speak in. Trimming against a
-  // reference that absorbed its own truncated output would spiral the
-  // cutoff downward; anchoring it on the clean round-0 sample (the same
-  // sample Algorithm 1's QE(X0) baseline comes from) keeps the percentile
-  // domain stable, while all adaptivity lives in the strategies.
-  ITRIM_RETURN_NOT_OK(model_->Bootstrap(config_.bootstrap_size, &rng_,
-                                        &board_));
   prev_ = RoundObservation{};
   have_prev_ = false;
   poison_quota_ = 0.0;
@@ -237,6 +226,32 @@ Status TrimmingSession::Bootstrap() {
   // configured horizon never reallocate it (open-ended streams beyond
   // config().rounds fall back to amortized growth).
   records_.Reserve(static_cast<size_t>(config_.rounds));
+}
+
+Status TrimmingSession::Bootstrap() {
+  // A failed (re-)bootstrap must leave the session un-steppable, not
+  // half-reset over the previous run's state.
+  bootstrapped_ = false;
+  ITRIM_RETURN_NOT_OK(CheckPlayable());
+  // From here on the model's geometry is being rebuilt: until this
+  // bootstrap succeeds it matches no calibration identity.
+  model_->calibrated_ = false;
+  ITRIM_RETURN_NOT_OK(model_->BeginRun());
+  rng_ = Rng(config_.seed);
+  board_.Clear();
+  // Round 0: a clean calibration sample seeds the public board and fixes
+  // the percentile reference both parties speak in. Trimming against a
+  // reference that absorbed its own truncated output would spiral the
+  // cutoff downward; anchoring it on the clean round-0 sample (the same
+  // sample Algorithm 1's QE(X0) baseline comes from) keeps the percentile
+  // domain stable, while all adaptivity lives in the strategies.
+  ITRIM_RETURN_NOT_OK(model_->Bootstrap(config_.bootstrap_size, &rng_,
+                                        &board_));
+  model_->calibrated_ = true;
+  model_->calibrated_seed_ = config_.seed;
+  model_->calibrated_bootstrap_size_ = config_.bootstrap_size;
+  ++model_->calibrations_;
+  ResetStream();
   bootstrapped_ = true;
   return Status::OK();
 }
@@ -411,11 +426,30 @@ SessionCheckpoint TrimmingSession::Checkpoint() const {
 }
 
 Status TrimmingSession::Restore(const SessionCheckpoint& checkpoint) {
-  // Re-run the bootstrap to rebuild model geometry (PositionMap etc.) from
-  // the same round-0 draws — the bootstrap is the first RNG consumer, so a
-  // fresh Rng(config.seed) replays it exactly. Then jump the stream state
-  // forward to the checkpoint.
-  ITRIM_RETURN_NOT_OK(Bootstrap());
+  // The model's calibration (PositionMap geometry, cached source scores,
+  // the reference fit) is a pure function of the seed, the bootstrap size
+  // and the model's source: the bootstrap is the first consumer of a fresh
+  // Rng(config.seed). A model a session already calibrated under the same
+  // identity is reused as is; otherwise the bootstrap re-runs to rebuild
+  // it from the same round-0 draws. Either way the checkpoint then
+  // overwrites the stream state (RNG, board, records).
+  const bool warm = model_->calibrated_ &&
+                    model_->calibrated_seed_ == config_.seed &&
+                    model_->calibrated_bootstrap_size_ ==
+                        config_.bootstrap_size;
+  bootstrapped_ = false;
+  if (warm) {
+    ITRIM_RETURN_NOT_OK(CheckPlayable());
+    // BeginRun() validates the source and clears the retained store (a
+    // restored session accumulates survivors from the restore point on);
+    // it leaves the calibration alone.
+    ITRIM_RETURN_NOT_OK(model_->BeginRun());
+    ResetStream();
+  } else {
+    ITRIM_RETURN_NOT_OK(Bootstrap());
+  }
+  // Not steppable until the checkpoint is fully applied.
+  bootstrapped_ = false;
   rng_.Restore(checkpoint.rng);
   ITRIM_RETURN_NOT_OK(board_.Restore(checkpoint.board));
   records_.Assign(checkpoint.records);
@@ -430,6 +464,7 @@ Status TrimmingSession::Restore(const SessionCheckpoint& checkpoint) {
   have_prev_ = checkpoint.have_prev;
   poison_quota_ = checkpoint.poison_quota;
   next_round_ = checkpoint.next_round;
+  bootstrapped_ = true;
   return Status::OK();
 }
 

@@ -219,6 +219,17 @@ class TrimmingSession {
 
   /// \brief Resumes from a checkpoint of an identically configured
   /// session; subsequent Steps are bit-identical to the original stream.
+  ///
+  /// The model's calibration is reused when a session Bootstrap() last
+  /// calibrated it successfully under this session's `seed` and
+  /// `bootstrap_size` (the identity is recorded on the model, see
+  /// ScoreModel::calibrations()): only the model's BeginRun() runs, and the
+  /// round-0 board seeding is skipped because the checkpoint's board
+  /// replaces it. Any other model (fresh, or calibrated under another
+  /// identity) is bootstrapped first, exactly as Bootstrap() does. Either
+  /// way the model's retained sink starts empty: a restored session
+  /// accumulates survivors from the restore point on. On error the session
+  /// is left un-bootstrapped (not steppable).
   Status Restore(const SessionCheckpoint& checkpoint);
 
   /// \brief Attaches (or detaches, with default-constructed sinks)
@@ -238,6 +249,11 @@ class TrimmingSession {
   bool bootstrapped() const { return bootstrapped_; }
 
  private:
+  /// \brief Config, adversary and reference-policy checks shared by
+  /// Bootstrap() and Restore().
+  Status CheckPlayable() const;
+  /// \brief Resets the strategies and the per-stream state to round 1.
+  void ResetStream();
   void RecordRoundObservability(const RoundRecord& record, size_t removed,
                                 bool used_reference);
 

@@ -162,6 +162,11 @@ Status IngestService::Start() {
     shard.owned.push_back(i);
     if (fleet_->TenantResident(i)) ++shard.resident_owned;
   }
+  if (config_.max_resident_per_shard > 0) {
+    for (const auto& shard : shards_) {
+      shard->eviction_candidates.reserve(shard->owned.size());
+    }
+  }
   // Deep telemetry: every session reports into its home shard's slot and
   // trace ring (persisted on the Tenant, so hibernation keeps the sinks).
   if (config_.observe_rounds) {
@@ -256,6 +261,8 @@ bool IngestService::DrainLane(Shard& shard, uint64_t tenant_id,
   const uint32_t round_size = static_cast<uint32_t>(lane.round_size);
   while (lane.pending >= round_size) {
     if (!fleet_->TenantResident(i)) {
+      // Rehydration is rare next to rounds, so every one is timed.
+      const int64_t t0 = obs::MonotonicNowNs();
       Status status = fleet_->RehydrateTenant(i);
       if (!status.ok()) {
         std::lock_guard<std::mutex> lock(shard.error_mu);
@@ -263,6 +270,9 @@ bool IngestService::DrainLane(Shard& shard, uint64_t tenant_id,
         lane.pending = 0;  // drop; retrying every batch would spin
         return false;
       }
+      shard.slot->Observe(
+          obs::Histogram::kFleetRehydrateUs,
+          static_cast<double>(obs::MonotonicNowNs() - t0) / 1000.0);
       shard.slot->Inc(obs::Counter::kIngestRehydrations);
       if (shard.trace != nullptr) {
         shard.trace->Record(
@@ -295,26 +305,31 @@ bool IngestService::DrainLane(Shard& shard, uint64_t tenant_id,
 }
 
 void IngestService::EnforceResidency(Shard& shard) {
-  if (config_.max_resident_per_shard == 0) return;
-  while (shard.resident_owned > config_.max_resident_per_shard) {
-    // Least-recently-active owned tenant; tenants with no traffic yet
-    // stamp 0, so they hibernate first. Ties break on the smaller id for
-    // a deterministic eviction order.
-    uint64_t victim = 0;
-    uint64_t victim_stamp = 0;
-    bool found = false;
-    for (uint64_t id : shard.owned) {
-      if (!fleet_->TenantResident(static_cast<size_t>(id))) continue;
-      auto it = shard.lanes.find(id);
-      const uint64_t stamp = it == shard.lanes.end() ? 0 : it->second.last_active_batch;
-      if (!found || stamp < victim_stamp ||
-          (stamp == victim_stamp && id < victim)) {
-        victim = id;
-        victim_stamp = stamp;
-        found = true;
-      }
-    }
-    if (!found) return;
+  if (config_.max_resident_per_shard == 0 ||
+      shard.resident_owned <= config_.max_resident_per_shard) {
+    return;
+  }
+  // Least-recently-active owned tenants go first; tenants with no traffic
+  // yet stamp 0, so they hibernate first. Ties break on the smaller id for
+  // a deterministic eviction order. Stamps do not change while evicting,
+  // so one scan and a partial sort give the victims in order.
+  std::vector<std::pair<uint64_t, uint64_t>>& candidates =
+      shard.eviction_candidates;
+  candidates.clear();
+  for (uint64_t id : shard.owned) {
+    if (!fleet_->TenantResident(static_cast<size_t>(id))) continue;
+    auto it = shard.lanes.find(id);
+    const uint64_t stamp =
+        it == shard.lanes.end() ? 0 : it->second.last_active_batch;
+    candidates.emplace_back(stamp, id);
+  }
+  const size_t excess = std::min(
+      candidates.size(), shard.resident_owned - config_.max_resident_per_shard);
+  std::partial_sort(candidates.begin(),
+                    candidates.begin() + static_cast<ptrdiff_t>(excess),
+                    candidates.end());
+  for (size_t k = 0; k < excess; ++k) {
+    const uint64_t victim = candidates[k].second;
     // Rounds-at-park, read before the session is released.
     const int parked_rounds =
         fleet_->tenant(static_cast<size_t>(victim)).session->next_round() - 1;

@@ -34,6 +34,7 @@
 #include <mutex>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/bounded_queue.h"
@@ -94,7 +95,9 @@ struct IngestConfig {
   /// counters and trace events land on the owning shard's slot/ring) and
   /// turns on the clock-reading histograms (submit latency, per-round
   /// wall time). Off by default — the always-on counters never read a
-  /// clock on the hot path.
+  /// clock per event or per round. Rehydrations are rare and cost a
+  /// restore, so the `fleet_rehydrate_us` histogram times every one of
+  /// them either way.
   bool observe_rounds = false;
 
   Status Validate() const;
@@ -211,6 +214,10 @@ class IngestService {
     // Worker-private state (no locking: one consumer per shard).
     std::vector<uint64_t> owned;  ///< tenant ids this shard is home to
     size_t resident_owned = 0;    ///< live sessions among `owned`
+    /// EnforceResidency scratch: (LRU stamp, id) of every resident owned
+    /// tenant, reserved to owned.size() at Start() when residency is
+    /// capped.
+    std::vector<std::pair<uint64_t, uint64_t>> eviction_candidates;
 
     // Producer- and worker-side telemetry sinks, borrowed from the
     // service (the slot from the registry, the ring from shard_traces_);
@@ -235,7 +242,10 @@ class IngestService {
   /// needed. Returns false (and records the shard error) on failure.
   bool DrainLane(Shard& shard, uint64_t tenant_id, TenantLane& lane);
   /// Hibernates least-recently-active resident tenants of this shard
-  /// until it is back under max_resident_per_shard.
+  /// until it is back under max_resident_per_shard: smallest LRU stamp
+  /// first, ties to the smaller tenant id. One scan collects the
+  /// candidates; the victims are the `excess` smallest (stamp, id) pairs,
+  /// in ascending order.
   void EnforceResidency(Shard& shard);
 
   IngestConfig config_;

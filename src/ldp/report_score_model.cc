@@ -134,4 +134,15 @@ void LdpReportScoreModel::Commit(std::span<const char> keep) {
   }
 }
 
+void LdpReportScoreModel::ReleaseRoundBuffers() {
+  FreeVector(&reports_);
+  FreeVector(&is_poison_);
+  FreeVector(&retained_);
+}
+
+size_t LdpReportScoreModel::FootprintBytes() const {
+  return sizeof(*this) + CapacityBytes(reports_) + CapacityBytes(is_poison_) +
+         CapacityBytes(retained_);
+}
+
 }  // namespace itrim

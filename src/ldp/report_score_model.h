@@ -69,6 +69,8 @@ class LdpReportScoreModel : public ScoreModel {
   Status TrimAtReference(double percentile, const PublicBoard& board,
                          TrimOutcome* out) override;
   void Commit(std::span<const char> keep) override;
+  void ReleaseRoundBuffers() override;
+  size_t FootprintBytes() const override;
 
   /// \brief Surviving reports accumulated since BeginRun().
   const std::vector<double>& retained() const { return retained_; }

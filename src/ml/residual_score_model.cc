@@ -227,4 +227,31 @@ void ResidualScoreModel::Commit(std::span<const char> keep) {
   }
 }
 
+void ResidualScoreModel::ReleaseRoundBuffers() {
+  // Kept: the reference fit, the interleaved source rows and their cached
+  // scores. The bootstrap fit scratch is only used by Bootstrap().
+  FreeVector(&fit_xs_);
+  FreeVector(&fit_ys_);
+  FreeVector(&row_data_);
+  rows_used_ = 0;
+  FreeVector(&index_scratch_);
+  FreeVector(&scores_);
+  FreeVector(&is_poison_);
+  FreeVector(&retained_.xs);
+  FreeVector(&retained_.ys);
+  FreeVector(&retained_is_poison_);
+}
+
+size_t ResidualScoreModel::FootprintBytes() const {
+  // The closed-form regressor's (dims+1)^2 normal-equation scratch is
+  // internal to LinearRegressor and not counted.
+  return sizeof(*this) + CapacityBytes(reference_.weights) +
+         CapacityBytes(flat_rows_) + CapacityBytes(source_scores_) +
+         CapacityBytes(fit_xs_) + CapacityBytes(fit_ys_) +
+         CapacityBytes(row_data_) + CapacityBytes(index_scratch_) +
+         CapacityBytes(scores_) + CapacityBytes(is_poison_) +
+         CapacityBytes(retained_.xs) + CapacityBytes(retained_.ys) +
+         retained_.name.capacity() + CapacityBytes(retained_is_poison_);
+}
+
 }  // namespace itrim

@@ -83,6 +83,8 @@ class ResidualScoreModel : public ScoreModel {
   Status TrimAtReference(double percentile, const PublicBoard& board,
                          TrimOutcome* out) override;
   void Commit(std::span<const char> keep) override;
+  void ReleaseRoundBuffers() override;
+  size_t FootprintBytes() const override;
 
   /// \brief Survivor rows accumulated since BeginRun() (poison rows carry
   /// their fabricated responses).

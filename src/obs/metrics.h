@@ -115,6 +115,9 @@ namespace itrim::obs {
   X(kIngestRoundWallUs, "ingest_round_wall_us",                                \
     "Wall time of one coalesced tenant round in an ingest worker "             \
     "(microseconds; sampled 1-in-4 per lane)", kLatencyUsBounds)               \
+  X(kFleetRehydrateUs, "fleet_rehydrate_us",                                   \
+    "Wall time of one tenant rehydration in an ingest worker "                 \
+    "(microseconds; every rehydration)", kLatencyUsBounds)                     \
   X(kFleetRoundWallUs, "fleet_round_wall_us",                                  \
     "Wall time of one lockstep fleet round (microseconds)", kRoundUsBounds)    \
   X(kPoolTaskUs, "pool_task_us",                                               \

@@ -8,18 +8,33 @@
 
 namespace itrim {
 
-double QuantileSorted(const std::vector<double>& sorted, double q) {
-  assert(!sorted.empty());
+QuantilePoint QuantilePointOf(size_t n, double q) {
+  assert(n > 0);
   q = Clamp(q, 0.0, 1.0);
-  const size_t n = sorted.size();
-  if (n == 1) return sorted[0];
+  QuantilePoint point;
+  if (n == 1) return point;
   // MATLAB prctile: breakpoints at (i - 0.5) / n for i = 1..n, clamped ends.
   double pos = q * static_cast<double>(n) - 0.5;
-  if (pos <= 0.0) return sorted.front();
-  if (pos >= static_cast<double>(n - 1)) return sorted.back();
-  size_t lo = static_cast<size_t>(pos);
-  double frac = pos - static_cast<double>(lo);
-  return Lerp(sorted[lo], sorted[lo + 1], frac);
+  if (pos <= 0.0) return point;
+  if (pos >= static_cast<double>(n - 1)) {
+    point.lo = n - 1;
+    return point;
+  }
+  point.lo = static_cast<size_t>(pos);
+  point.frac = pos - static_cast<double>(point.lo);
+  point.interpolate = true;
+  return point;
+}
+
+double QuantileAt(const std::vector<double>& sorted,
+                  const QuantilePoint& point) {
+  if (!point.interpolate) return sorted[point.lo];
+  return Lerp(sorted[point.lo], sorted[point.lo + 1], point.frac);
+}
+
+double QuantileSorted(const std::vector<double>& sorted, double q) {
+  assert(!sorted.empty());
+  return QuantileAt(sorted, QuantilePointOf(sorted.size(), q));
 }
 
 double Quantile(std::vector<double> values, double q) {

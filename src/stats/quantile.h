@@ -20,6 +20,23 @@ namespace itrim {
 /// interpolation. Requires a non-empty, sorted input.
 double QuantileSorted(const std::vector<double>& sorted, double q);
 
+/// \brief Where QuantileSorted reads for a given (sample size, q): it
+/// depends on n and q only, so callers evaluating one q over many sorted
+/// columns of the same length compute it once.
+struct QuantilePoint {
+  size_t lo = 0;
+  double frac = 0.0;
+  bool interpolate = false;  ///< false: the value is sorted[lo] exactly
+};
+
+/// \brief The read point of QuantileSorted(sorted, q) for sorted.size() ==
+/// n (n >= 1).
+QuantilePoint QuantilePointOf(size_t n, double q);
+
+/// \brief Evaluates a read point: bit-identical to QuantileSorted(sorted,
+/// q) when `point` is QuantilePointOf(sorted.size(), q).
+double QuantileAt(const std::vector<double>& sorted, const QuantilePoint& point);
+
 /// \brief q-quantile of an unsorted sample (copies + sorts internally).
 double Quantile(std::vector<double> values, double q);
 

@@ -1,7 +1,10 @@
 // Tenant hibernation/rehydration bit-identity: evicting a session to its
 // compact checkpoint and rebuilding it later must not perturb the stream.
 // Covered per model kind (scalar / distance / LDP / residual), mid-stream at
-// every round boundary, and across repeated hibernate-rehydrate cycles.
+// every round boundary, and across repeated hibernate-rehydrate cycles. The
+// kept score model is checked too: it survives parking without being
+// calibrated again, a failed rehydration keeps it, and the warm
+// rehydration equals a cold materialize-and-restore.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -12,6 +15,7 @@
 #include "exp/schemes.h"
 #include "fleet/session_fleet.h"
 #include "fleet/tenant.h"
+#include "game/score_model.h"
 #include "ldp/attacks.h"
 #include "ldp/mechanism.h"
 #include "ml/linreg.h"
@@ -20,6 +24,10 @@
 
 namespace itrim {
 namespace {
+
+constexpr TenantModelKind kAllKinds[] = {
+    TenantModelKind::kScalar, TenantModelKind::kDistance,
+    TenantModelKind::kLdp, TenantModelKind::kResidual};
 
 void ExpectRecordsBitIdentical(const std::vector<RoundRecord>& a,
                                const std::vector<RoundRecord>& b) {
@@ -93,11 +101,7 @@ class HibernationTest : public ::testing::Test {
 // playing the rest equals the uninterrupted stream bit for bit.
 TEST_F(HibernationTest, MidStreamHibernationIsBitIdenticalEverywhere) {
   const int kRounds = 8;
-  const TenantModelKind kinds[] = {TenantModelKind::kScalar,
-                                   TenantModelKind::kDistance,
-                                   TenantModelKind::kLdp,
-                                   TenantModelKind::kResidual};
-  for (TenantModelKind model : kinds) {
+  for (TenantModelKind model : kAllKinds) {
     TenantSpec spec = SpecFor(model);
     SCOPED_TRACE(spec.name);
 
@@ -128,6 +132,132 @@ TEST_F(HibernationTest, MidStreamHibernationIsBitIdenticalEverywhere) {
       ExpectRecordsBitIdentical(expected, fleet.TenantRounds(0).ValueOrDie());
     }
   }
+}
+
+// Hibernation parks the stream state but keeps the calibrated score model:
+// the same model object comes back on rehydration, it is not calibrated a
+// second time, and its per-round buffers are freed while parked.
+TEST_F(HibernationTest, KeptModelSurvivesCyclesWithoutRecalibration) {
+  for (TenantModelKind model : kAllKinds) {
+    TenantSpec spec = SpecFor(model);
+    SCOPED_TRACE(spec.name);
+    SessionFleet fleet = MakeFleet(spec);
+    for (int r = 0; r < 3; ++r) ASSERT_TRUE(fleet.StepTenant(0).ok());
+    const ScoreModel* kept = fleet.tenant(0).model.get();
+    ASSERT_NE(kept, nullptr);
+    EXPECT_EQ(kept->calibrations(), 1u);
+    const size_t resident_footprint = kept->FootprintBytes();
+
+    for (int cycle = 0; cycle < 3; ++cycle) {
+      ASSERT_TRUE(fleet.HibernateTenant(0).ok());
+      const Tenant& parked = fleet.tenant(0);
+      EXPECT_EQ(parked.model.get(), kept);
+      EXPECT_EQ(parked.session, nullptr);
+      EXPECT_EQ(parked.reference, nullptr);
+      EXPECT_LT(kept->FootprintBytes(), resident_footprint);
+      EXPECT_EQ(ParkedBytes(parked),
+                sizeof(TenantHibernation) +
+                    parked.hibernated->checkpoint.records.capacity() *
+                        sizeof(RoundRecord) +
+                    parked.hibernated->checkpoint.board.values.capacity() *
+                        sizeof(double) +
+                    kept->FootprintBytes());
+      ASSERT_TRUE(fleet.RehydrateTenant(0).ok());
+      EXPECT_EQ(fleet.tenant(0).model.get(), kept);
+      EXPECT_EQ(kept->calibrations(), 1u);
+      ASSERT_TRUE(fleet.StepTenant(0).ok());
+    }
+  }
+}
+
+// A rehydration that fails (the parked board snapshot holds more values
+// than the board's capacity) leaves the tenant parked with its model and
+// calibration; once the snapshot is valid again, rehydration resumes the
+// stream bit-identically.
+TEST_F(HibernationTest, FailedRehydrateKeepsTenantParkedWithItsModel) {
+  for (TenantModelKind model : kAllKinds) {
+    TenantSpec spec = SpecFor(model);
+    SCOPED_TRACE(spec.name);
+    Tenant tenant = MaterializeTenant(spec, 77).ValueOrDie();
+    Tenant expected = MaterializeTenant(spec, 77).ValueOrDie();
+    ASSERT_TRUE(tenant.session->Bootstrap().ok());
+    ASSERT_TRUE(expected.session->Bootstrap().ok());
+    for (int r = 0; r < 6; ++r) ASSERT_TRUE(expected.session->Step().ok());
+    for (int r = 0; r < 3; ++r) ASSERT_TRUE(tenant.session->Step().ok());
+    ASSERT_TRUE(HibernateTenant(&tenant).ok());
+    const ScoreModel* kept = tenant.model.get();
+
+    std::vector<double>& values = tenant.hibernated->checkpoint.board.values;
+    const std::vector<double> valid = values;
+    values.resize(spec.game.board_capacity + 1, 0.5);
+    EXPECT_EQ(RehydrateTenant(&tenant).code(), StatusCode::kInvalidArgument);
+    EXPECT_FALSE(tenant.resident());
+    ASSERT_NE(tenant.hibernated, nullptr);
+    EXPECT_EQ(tenant.model.get(), kept);
+    EXPECT_EQ(kept->calibrations(), 1u);
+
+    values = valid;
+    ASSERT_TRUE(RehydrateTenant(&tenant).ok());
+    EXPECT_EQ(tenant.model.get(), kept);
+    EXPECT_EQ(kept->calibrations(), 1u);
+    for (int r = 3; r < 6; ++r) ASSERT_TRUE(tenant.session->Step().ok());
+    ExpectRecordsBitIdentical(expected.session->round_log().ToVector(),
+                              tenant.session->round_log().ToVector());
+  }
+}
+
+// The cold path — a freshly materialized tenant restoring the parked
+// checkpoint, which re-runs the bootstrap inside Restore() — and the warm
+// rehydration that reuses the kept calibration continue identically.
+TEST_F(HibernationTest, ColdRestoreEqualsWarmRehydrate) {
+  for (TenantModelKind model : kAllKinds) {
+    TenantSpec spec = SpecFor(model);
+    SCOPED_TRACE(spec.name);
+    Tenant warm = MaterializeTenant(spec, 4321).ValueOrDie();
+    ASSERT_TRUE(warm.session->Bootstrap().ok());
+    for (int r = 0; r < 4; ++r) ASSERT_TRUE(warm.session->Step().ok());
+    ASSERT_TRUE(HibernateTenant(&warm).ok());
+
+    Tenant cold = MaterializeTenant(warm.spec, warm.config.seed).ValueOrDie();
+    EXPECT_EQ(cold.model->calibrations(), 0u);
+    ASSERT_TRUE(cold.session->Restore(warm.hibernated->checkpoint).ok());
+    EXPECT_EQ(cold.model->calibrations(), 1u);  // bootstrapped inside
+    ASSERT_TRUE(RehydrateTenant(&warm).ok());
+    EXPECT_EQ(warm.model->calibrations(), 1u);  // reused
+
+    for (int r = 0; r < 5; ++r) {
+      ASSERT_TRUE(cold.session->Step().ok());
+      ASSERT_TRUE(warm.session->Step().ok());
+    }
+    ExpectRecordsBitIdentical(cold.session->round_log().ToVector(),
+                              warm.session->round_log().ToVector());
+  }
+}
+
+// The calibration is reused only under the identity it was built with: a
+// session restoring onto a model calibrated under another seed bootstraps
+// it again first, and continues the checkpoint's stream exactly.
+TEST_F(HibernationTest, RestoreRecalibratesUnderAnotherIdentity) {
+  TenantSpec spec = SpecFor(TenantModelKind::kDistance);
+  Tenant source = MaterializeTenant(spec, 11).ValueOrDie();
+  ASSERT_TRUE(source.session->Bootstrap().ok());
+  for (int r = 0; r < 3; ++r) ASSERT_TRUE(source.session->Step().ok());
+  const SessionCheckpoint checkpoint = source.session->Checkpoint();
+  for (int r = 0; r < 3; ++r) ASSERT_TRUE(source.session->Step().ok());
+
+  Tenant other = MaterializeTenant(spec, 12).ValueOrDie();  // another seed
+  ASSERT_TRUE(other.session->Bootstrap().ok());
+  ASSERT_EQ(other.model->calibrations(), 1u);
+  // A session under the source's config around the other tenant's model.
+  TrimmingSession resumed(source.config, other.model.get(),
+                          other.scheme.collector.get(),
+                          other.scheme.adversary.get(),
+                          other.scheme.quality.get());
+  ASSERT_TRUE(resumed.Restore(checkpoint).ok());
+  EXPECT_EQ(other.model->calibrations(), 2u);
+  for (int r = 0; r < 3; ++r) ASSERT_TRUE(resumed.Step().ok());
+  ExpectRecordsBitIdentical(source.session->round_log().ToVector(),
+                            resumed.round_log().ToVector());
 }
 
 // Repeated park/rebuild cycles — including several in a row with no round

@@ -1,11 +1,13 @@
 // IngestService unit behavior: the binary frame codec, config/lifecycle
 // guards, the bounded queue's backpressure semantics, report coalescing
-// into rounds, per-tenant token-bucket rate limiting, and the LRU
-// hibernation policy bounding the resident set.
+// into rounds, per-tenant token-bucket rate limiting, the LRU hibernation
+// policy bounding the resident set (and its eviction order), and the
+// rehydration timing histogram.
 #include "ingest/ingest.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <thread>
@@ -285,6 +287,95 @@ TEST_F(IngestServiceTest, HibernationBoundsTheResidentSet) {
   EXPECT_LE(service.Stats().resident_tenants, 2u);
   EXPECT_EQ(fleet.TenantRounds(parked).ValueOrDie().size(), 2u);
   EXPECT_LE(fleet.ResidentTenants(), 2u);
+  EXPECT_TRUE(service.Stop().ok());
+}
+
+// The eviction rule, pinned: when a shard exceeds its resident bound the
+// least-recently-active tenants hibernate first, ties broken by the smaller
+// tenant id, in that order. batch_max = 1 makes every event its own worker
+// batch (its own LRU stamp), so the victims are a pure function of the
+// submit order. The order is read from the shard's hibernate trace events.
+TEST_F(IngestServiceTest, EvictsLeastRecentStampThenSmallerId) {
+  FleetConfig config;
+  SessionFleet fleet(config, ScalarSpecs(6, /*round_size=*/40));
+  ASSERT_TRUE(fleet.Bootstrap().ok());
+
+  IngestConfig ingest;
+  ingest.shards = 1;
+  ingest.batch_max = 1;
+  ingest.max_resident_per_shard = 2;
+  ingest.trace_capacity = 256;
+  IngestService service(ingest, &fleet);
+  ASSERT_TRUE(service.Start().ok());
+
+  // Batch 1 stamps tenant 3; the five unstamped tenants tie at 0, so the
+  // four smallest ids among them go, in id order: 0, 1, 2, 4.
+  ASSERT_TRUE(service.Submit({3, 1}).ok());
+  ASSERT_TRUE(service.Flush().ok());
+  EXPECT_TRUE(fleet.TenantResident(3));
+  EXPECT_TRUE(fleet.TenantResident(5));
+  // Stamps: 5 -> 2, then 1 -> 3 (rehydrated to play a round, evicting the
+  // least recent resident, 3), then 0 -> 4 (evicting 5). Tenant 4's
+  // sub-round arrival stamps it without rehydrating; tenant 2's round then
+  // evicts 1, the least recent of {1, 0, 2}.
+  for (IngestEvent event : std::vector<IngestEvent>{
+           {5, 1}, {1, 40}, {0, 40}, {4, 1}, {2, 40}}) {
+    ASSERT_TRUE(service.Submit(event).ok());
+  }
+  ASSERT_TRUE(service.Flush().ok());
+
+  std::vector<obs::TraceEvent> events = service.TraceSnapshot();
+  std::sort(events.begin(), events.end(),
+            [](const obs::TraceEvent& a, const obs::TraceEvent& b) {
+              return a.seq < b.seq;
+            });
+  std::vector<uint64_t> victims;
+  for (const obs::TraceEvent& event : events) {
+    if (event.kind == obs::TraceKind::kHibernate) {
+      victims.push_back(event.tenant);
+    }
+  }
+  EXPECT_EQ(victims, (std::vector<uint64_t>{0, 1, 2, 4, 3, 5, 1}));
+  EXPECT_TRUE(fleet.TenantResident(0));
+  EXPECT_TRUE(fleet.TenantResident(2));
+  EXPECT_EQ(fleet.ResidentTenants(), 2u);
+  EXPECT_EQ(service.Stats().hibernations, 7u);
+  EXPECT_EQ(service.Stats().rehydrations, 3u);
+  EXPECT_TRUE(service.Stop().ok());
+}
+
+// Every rehydration is timed into the fleet_rehydrate_us histogram, deep
+// observation or not, so its count is the rehydration counter.
+TEST_F(IngestServiceTest, RehydrationHistogramCountsEveryRehydration) {
+  FleetConfig config;
+  SessionFleet fleet(config, ScalarSpecs(8, /*round_size=*/40));
+  ASSERT_TRUE(fleet.Bootstrap().ok());
+
+  // One event per worker batch, so residency is enforced between rounds
+  // and every pass after the first rehydrates.
+  IngestConfig ingest;
+  ingest.shards = 2;
+  ingest.batch_max = 1;
+  ingest.max_resident_per_shard = 1;
+  IngestService service(ingest, &fleet);
+  ASSERT_TRUE(service.Start().ok());
+  for (int pass = 0; pass < 3; ++pass) {
+    for (uint64_t t = 0; t < 8; ++t) {
+      ASSERT_TRUE(service.Submit({t, 40}).ok());
+    }
+  }
+  ASSERT_TRUE(service.Flush().ok());
+
+  const IngestStats stats = service.Stats();
+  EXPECT_GT(stats.rehydrations, 0u);
+  const obs::MetricsSnapshot scrape = service.Scrape();
+  const obs::HistogramValue& rehydrate = scrape.merged.histograms[
+      static_cast<int>(obs::Histogram::kFleetRehydrateUs)];
+  EXPECT_EQ(rehydrate.count, stats.rehydrations);
+  uint64_t bucketed = 0;
+  for (uint64_t c : rehydrate.counts) bucketed += c;
+  EXPECT_EQ(bucketed, rehydrate.count);
+  EXPECT_GT(rehydrate.sum, 0.0);
   EXPECT_TRUE(service.Stop().ok());
 }
 
