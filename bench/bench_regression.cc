@@ -24,7 +24,10 @@
 //   3. Steady-state throughput of the residual session hot path (batched
 //      kernel scoring + per-round refit-and-reselect inside the fitted
 //      reference), with the zero-allocation contract asserted on the
-//      timed region.
+//      timed region: session/steady_state (100-row rounds, elastic
+//      collector, which rarely refits) and session/refit_steady_state
+//      (500-row rounds trimmed every round; gated in-binary on at least one
+//      refit iteration per round).
 //
 // `--smoke` shrinks every phase and is registered with ctest as
 // bench/bench_regression_smoke; the CI perf gate holds the smoke numbers
@@ -243,30 +246,34 @@ struct ThroughputResult {
   uint64_t reports = 0;
   int rounds = 0;
   uint64_t allocations = 0;
+  uint64_t refit_iterations = 0;
   bool ok = false;
 };
 
 // Phase 3: steady-state rounds of the residual hot path, timed after a
 // warmup so scratch growth stays outside the measurement.
-ThroughputResult RunThroughput(const RegressionData& source, int rounds) {
+ThroughputResult RunThroughput(const RegressionData& source, int rounds,
+                               size_t round_size, size_t bootstrap_size,
+                               size_t board_capacity,
+                               CollectorStrategy* collector) {
   ThroughputResult result;
+  const int warmup = 40;
   GameConfig config;
-  config.rounds = rounds + 40;
-  config.round_size = 100;
+  config.rounds = rounds + warmup;
+  config.round_size = round_size;
   config.attack_ratio = 0.15;
-  config.bootstrap_size = 200;
-  config.board_capacity = 512;
+  config.bootstrap_size = bootstrap_size;
+  config.board_capacity = board_capacity;
   config.seed = 1213;
 
   ResidualScoreModel model(&source, PoisonShape::kFlipShift);
   model.set_retain_survivors(false);  // streaming shape
-  ElasticCollector collector(0.5);
   FlipShiftAdversary adversary;
   FittedModelReference policy;
-  TrimmingSession session(config, &model, &collector, &adversary, nullptr,
+  TrimmingSession session(config, &model, collector, &adversary, nullptr,
                           &policy);
   if (!session.Bootstrap().ok()) return result;
-  for (int r = 0; r < 40; ++r) {
+  for (int r = 0; r < warmup; ++r) {
     if (!session.Step().ok()) return result;
   }
   bench::AllocCounts before = bench::ThreadAllocCounts();
@@ -276,6 +283,12 @@ ThroughputResult RunThroughput(const RegressionData& source, int rounds) {
     if (!record.ok()) return result;
     result.reports += record.ValueOrDie().benign_received +
                       record.ValueOrDie().poison_received;
+    // The policy only runs (and resets its count) on rounds trimmed below
+    // the keep-all threshold.
+    if (record.ValueOrDie().collector_percentile < 1.0) {
+      result.refit_iterations +=
+          static_cast<uint64_t>(policy.last_refit_iterations());
+    }
   }
   const auto stop = std::chrono::steady_clock::now();
   result.allocations = (bench::ThreadAllocCounts() - before).allocations;
@@ -427,31 +440,63 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Phase 3: throughput + the zero-allocation steady state.
-  ThroughputResult tp = RunThroughput(source, smoke ? 300 : 1500);
-  if (!tp.ok) {
-    std::fprintf(stderr, "FAIL: throughput run failed\n");
-    return 1;
-  }
-  const double rounds_per_sec =
-      static_cast<double>(tp.rounds) / (tp.wall_ms / 1000.0);
-  std::printf(
-      "throughput: %d rounds in %.1f ms — %.0f rounds/s, %.0fk reports/s, "
-      "%llu allocations in the timed region\n",
-      tp.rounds, tp.wall_ms, rounds_per_sec,
-      static_cast<double>(tp.reports) / (tp.wall_ms / 1000.0) / 1000.0,
-      static_cast<unsigned long long>(tp.allocations));
-  reporter.AddCase("session/steady_state")
-      .Iterations(static_cast<uint64_t>(tp.rounds))
-      .Ops(tp.reports)
-      .WallMs(tp.wall_ms)
-      .Allocations(tp.allocations)
-      .Counter("rounds_per_sec", rounds_per_sec);
-  if (tp.allocations != 0) {
-    std::fprintf(stderr,
-                 "FAIL: residual steady state allocated %llu times\n",
-                 static_cast<unsigned long long>(tp.allocations));
-    return 1;
+  // Phase 3: throughput + the zero-allocation steady state. The elastic
+  // 100-row case is the residual session as a whole; the 500-row case at a
+  // fixed 0.9 threshold trims every round, so every round runs the refit
+  // loop at the paper's round size (the radix ordering path).
+  ElasticCollector elastic(0.5);
+  StaticCollector trim_every_round(0.9);
+  struct ThroughputCase {
+    const char* name;
+    ThroughputResult result;
+    bool needs_refits;
+  };
+  ThroughputCase cases[] = {
+      {"session/steady_state",
+       RunThroughput(source, smoke ? 300 : 1500, 100, 200, 512, &elastic),
+       false},
+      {"session/refit_steady_state",
+       RunThroughput(source, smoke ? 200 : 1000, 500, 500, 4096,
+                     &trim_every_round),
+       true},
+  };
+  for (const ThroughputCase& c : cases) {
+    const ThroughputResult& tp = c.result;
+    if (!tp.ok) {
+      std::fprintf(stderr, "FAIL: %s run failed\n", c.name);
+      return 1;
+    }
+    const double rounds_per_sec =
+        static_cast<double>(tp.rounds) / (tp.wall_ms / 1000.0);
+    const double refits_per_round = static_cast<double>(tp.refit_iterations) /
+                                    static_cast<double>(tp.rounds);
+    std::printf(
+        "%s: %d rounds in %.1f ms — %.0f rounds/s, %.0fk reports/s, "
+        "%.2f refit iterations/round, %llu allocations in the timed region\n",
+        c.name, tp.rounds, tp.wall_ms, rounds_per_sec,
+        static_cast<double>(tp.reports) / (tp.wall_ms / 1000.0) / 1000.0,
+        refits_per_round, static_cast<unsigned long long>(tp.allocations));
+    bench::BenchCase& builder = reporter.AddCase(c.name);
+    builder.Iterations(static_cast<uint64_t>(tp.rounds))
+        .Ops(tp.reports)
+        .WallMs(tp.wall_ms)
+        .Allocations(tp.allocations)
+        .Counter("rounds_per_sec", rounds_per_sec);
+    if (c.needs_refits) {
+      builder.Counter("refit_iterations_per_round", refits_per_round);
+    }
+    if (tp.allocations != 0) {
+      std::fprintf(stderr, "FAIL: %s allocated %llu times\n", c.name,
+                   static_cast<unsigned long long>(tp.allocations));
+      return 1;
+    }
+    if (c.needs_refits && refits_per_round < 1.0) {
+      std::fprintf(stderr,
+                   "FAIL: %s ran %.2f refit iterations per round (the case "
+                   "must exercise the refit loop every round)\n",
+                   c.name, refits_per_round);
+      return 1;
+    }
   }
 
   return reporter.WriteJson().ok() ? 0 : 1;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
+#include <span>
 
 #include "game/kernels.h"
 #include "game/score_model.h"
@@ -19,25 +21,6 @@ PercentileReference* DefaultReferencePolicy() {
   static PercentileReference shared;
   return &shared;
 }
-
-namespace {
-
-/// De-interleaves the rows named by `selected[0..count)` out of the flat
-/// [x..., y] observation block into fit buffers (resized, capacity kept).
-void GatherSelected(std::span<const double> obs, size_t width,
-                    const size_t* selected, size_t count,
-                    std::vector<double>* xs, std::vector<double>* ys) {
-  const size_t dims = width - 1;
-  xs->resize(count * dims);
-  ys->resize(count);
-  for (size_t k = 0; k < count; ++k) {
-    const double* row = obs.data() + selected[k] * width;
-    std::copy(row, row + dims, xs->data() + k * dims);
-    (*ys)[k] = row[dims];
-  }
-}
-
-}  // namespace
 
 Status FittedModelReference::Validate(const ScoreModel& model) const {
   if (!model.ProvidesObservations()) {
@@ -104,31 +87,21 @@ Status FittedModelReference::TrimRound(double percentile, ScoreModel* model,
   // Initial fit on the whole round — deterministic (no RNG, no cross-round
   // state), so a restored session replays the identical kept sets.
   order_.resize(n);
-  for (size_t i = 0; i < n; ++i) order_[i] = i;
-  GatherSelected(obs, width, order_.data(), n, &fit_xs_, &fit_ys_);
-  ITRIM_RETURN_NOT_OK(
-      regressor_.FitClosedForm(fit_xs_, fit_ys_, dims, &fit_));
+  std::iota(order_.begin(), order_.end(), size_t{0});
+  ITRIM_RETURN_NOT_OK(regressor_.FitClosedFormRows(obs, width, order_, &fit_));
   resid_.resize(n);
   prev_resid_.resize(n);
   kernels::AbsResidualsToModel(obs.data(), n, width, fit_.weights.data(),
                                fit_.bias, resid_.data());
 
-  const double inf = std::numeric_limits<double>::infinity();
-  double cutoff = inf;
+  double cutoff = std::numeric_limits<double>::infinity();
   for (int iter = 0; iter < options_.max_refits; ++iter) {
     ++last_refit_iters_;
-    // Total order: residual magnitude, NaN last, ties by index — the
-    // selected set is independent of the sort algorithm.
-    std::sort(order_.begin(), order_.end(), [&](size_t a, size_t b) {
-      const double ka = std::isnan(resid_[a]) ? inf : resid_[a];
-      const double kb = std::isnan(resid_[b]) ? inf : resid_[b];
-      if (ka != kb) return ka < kb;
-      return a < b;
-    });
+    // The ordering contract (header): NaN as +inf, ties by index.
+    orderer_.Sort(resid_, &order_);
     cutoff = resid_[order_[keep_n - 1]];
-    GatherSelected(obs, width, order_.data(), keep_n, &fit_xs_, &fit_ys_);
-    ITRIM_RETURN_NOT_OK(
-        regressor_.FitClosedForm(fit_xs_, fit_ys_, dims, &fit_));
+    ITRIM_RETURN_NOT_OK(regressor_.FitClosedFormRows(
+        obs, width, std::span<const size_t>(order_.data(), keep_n), &fit_));
     std::swap(prev_resid_, resid_);
     kernels::AbsResidualsToModel(obs.data(), n, width, fit_.weights.data(),
                                  fit_.bias, resid_.data());

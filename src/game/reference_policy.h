@@ -81,9 +81,14 @@ PercentileReference* DefaultReferencePolicy();
 /// equilibrium machinery transfer unchanged. The initial fit uses *all*
 /// round observations (not a random subset): the policy draws no RNG and
 /// carries no cross-round state, which keeps checkpoint/restore exact and
-/// the policy reusable across Bootstrap() cycles. Selection is by total
-/// order (residual, then index; NaN last), so the kept set is independent
-/// of sort algorithm, thread count and kernel variant.
+/// the policy reusable across Bootstrap() cycles.
+///
+/// Ordering contract: each refit ranks the round's rows by ascending
+/// residual magnitude, a NaN residual ranking equal to +inf, and breaks
+/// ties by row index. That order is total, so the kept set, the cutoff and
+/// the row order each refit accumulates its normal equations in are one
+/// fixed function of the round — independent of the sort algorithm
+/// (ResidualOrder in ml/linreg.h), thread count and kernel variant.
 class FittedModelReference : public ReferencePolicy {
  public:
   struct Options {
@@ -114,8 +119,7 @@ class FittedModelReference : public ReferencePolicy {
   std::vector<double> resid_;
   std::vector<double> prev_resid_;
   std::vector<size_t> order_;
-  std::vector<double> fit_xs_;
-  std::vector<double> fit_ys_;
+  ResidualOrder orderer_;
 };
 
 }  // namespace itrim

@@ -71,6 +71,14 @@ class LinearRegressor {
   Status FitClosedForm(std::span<const double> xs, std::span<const double> ys,
                        size_t dims, LinearModel* out);
 
+  /// \brief The same fit straight from an interleaved observation block:
+  /// `rows` holds [x_0..x_{width-2}, y] rows of `width` doubles and the fit
+  /// runs over the rows named by `selected`, accumulated in `selected`
+  /// order. Bit-identical to gathering those rows into flat xs / ys and
+  /// calling FitClosedForm, without the copy.
+  Status FitClosedFormRows(std::span<const double> rows, size_t width,
+                           std::span<const size_t> selected, LinearModel* out);
+
   /// \brief Mini-batch SGD fit; deterministic under `rng` (the epoch
   /// shuffles are the only draws).
   Status FitMiniBatchSgd(std::span<const double> xs,
@@ -79,12 +87,38 @@ class LinearRegressor {
                          LinearModel* out);
 
  private:
+  /// Mirrors the accumulated upper triangle of normal_ and solves the
+  /// (dims+1)-square system into `out`; shared by both closed-form fits.
+  Status Solve(size_t dims, LinearModel* out);
+
   // Augmented-design scratch for the closed form: (dims+1)^2 normal matrix
   // plus right-hand side, and the SGD index permutation / gradient buffer.
   std::vector<double> normal_;    ///< (dims+1) x (dims+1), row-major
   std::vector<double> rhs_;       ///< dims+1
   std::vector<size_t> perm_;      ///< SGD epoch shuffle
   std::vector<double> gradient_;  ///< dims+1 accumulator
+};
+
+/// \brief Orders row indices by a residual key, with reusable scratch.
+///
+/// The order is total: ascending key, NaN equal to +inf, ties by index —
+/// so the result is one fixed permutation whatever the algorithm. Keys are
+/// residual magnitudes or squared residuals (>= 0 or NaN; -0.0 counts as
+/// +0.0). Each key is ordered by its IEEE bit pattern, which for
+/// non-negative doubles orders like the value. Small rounds take an
+/// insertion sort, larger ones an LSD radix sort (passes whose digit is the
+/// same for every key are skipped); both are stable from index order. The
+/// scratch only grows, so a warm orderer never allocates.
+class ResidualOrder {
+ public:
+  /// \brief Overwrites `order` with the permutation of [0, keys.size())
+  /// that sorts `keys`.
+  void Sort(std::span<const double> keys, std::vector<size_t>* order);
+
+ private:
+  std::vector<uint64_t> bits_;      ///< keys as ordered bit patterns
+  std::vector<uint64_t> bits_alt_;  ///< radix ping-pong buffer
+  std::vector<size_t> index_alt_;   ///< radix ping-pong buffer
 };
 
 /// \brief A flat regression training set: n rows of `dims` features plus a

@@ -52,32 +52,22 @@ Status ResidualScoreModel::Bootstrap(size_t bootstrap_size, Rng* rng,
   // The clean calibration sample fixes the reference fit and seeds the
   // board with its residual magnitudes — the percentile coordinate of this
   // setting is a clean-residual quantile.
-  fit_xs_.resize(bootstrap_size * dims);
-  fit_ys_.resize(bootstrap_size);
-  std::vector<double> sample_rows(bootstrap_size * width_);
-  for (size_t i = 0; i < bootstrap_size; ++i) {
-    const size_t idx = static_cast<size_t>(rng->UniformInt(n_source));
-    const double* row = flat_rows_.data() + idx * width_;
-    std::copy(row, row + dims, fit_xs_.data() + i * dims);
-    fit_ys_[i] = row[dims];
-    std::copy(row, row + width_, sample_rows.data() + i * width_);
+  std::vector<size_t> sample(bootstrap_size);
+  for (size_t& idx : sample) {
+    idx = static_cast<size_t>(rng->UniformInt(n_source));
   }
   ITRIM_RETURN_NOT_OK(
-      regressor_.FitClosedForm(fit_xs_, fit_ys_, dims, &reference_));
-
-  std::vector<double> sample_resid(bootstrap_size);
-  kernels::AbsResidualsToModel(sample_rows.data(), bootstrap_size, width_,
-                               reference_.weights.data(), reference_.bias,
-                               sample_resid.data());
-  for (double r : sample_resid) board->RecordOne(r);
+      regressor_.FitClosedFormRows(flat_rows_, width_, sample, &reference_));
 
   // Cache every source row's residual score (benign arrivals are source
   // rows sampled with replacement, so their scores become table lookups —
-  // the doubles are the exact same kernel computation).
+  // the doubles are the exact same kernel computation). The calibration
+  // sample's board entries are lookups too.
   source_scores_.resize(n_source);
   kernels::AbsResidualsToModel(flat_rows_.data(), n_source, width_,
                                reference_.weights.data(), reference_.bias,
                                source_scores_.data());
+  for (size_t idx : sample) board->RecordOne(source_scores_[idx]);
 
   // Highest-leverage source row (max feature distance to the mean, lowest
   // index on ties) for the leverage poison shape.
@@ -229,9 +219,7 @@ void ResidualScoreModel::Commit(std::span<const char> keep) {
 
 void ResidualScoreModel::ReleaseRoundBuffers() {
   // Kept: the reference fit, the interleaved source rows and their cached
-  // scores. The bootstrap fit scratch is only used by Bootstrap().
-  FreeVector(&fit_xs_);
-  FreeVector(&fit_ys_);
+  // scores.
   FreeVector(&row_data_);
   rows_used_ = 0;
   FreeVector(&index_scratch_);
@@ -247,7 +235,6 @@ size_t ResidualScoreModel::FootprintBytes() const {
   // internal to LinearRegressor and not counted.
   return sizeof(*this) + CapacityBytes(reference_.weights) +
          CapacityBytes(flat_rows_) + CapacityBytes(source_scores_) +
-         CapacityBytes(fit_xs_) + CapacityBytes(fit_ys_) +
          CapacityBytes(row_data_) + CapacityBytes(index_scratch_) +
          CapacityBytes(scores_) + CapacityBytes(is_poison_) +
          CapacityBytes(retained_.xs) + CapacityBytes(retained_.ys) +

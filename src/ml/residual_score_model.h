@@ -117,8 +117,6 @@ class ResidualScoreModel : public ScoreModel {
   /// bootstrap via one kernel sweep (bit-identical to scoring on arrival).
   std::vector<double> source_scores_;
   size_t leverage_row_ = 0;  ///< argmax feature distance to the mean
-  std::vector<double> fit_xs_;           ///< bootstrap fit gather scratch
-  std::vector<double> fit_ys_;
   std::vector<double> row_data_;         ///< flat round pool, width_ per row
   size_t rows_used_ = 0;
   std::vector<uint64_t> index_scratch_;  ///< batched benign-draw indices

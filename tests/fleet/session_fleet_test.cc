@@ -70,7 +70,8 @@ class SessionFleetTest : public ::testing::Test {
  protected:
   SessionFleetTest()
       : pool_(UniformPool(4000, 11)), data_(MakeControl(21, 80)),
-        population_(UniformPool(3000, 31)), mechanism_(2.0) {}
+        population_(UniformPool(3000, 31)), mechanism_(2.0),
+        regression_(MakeSyntheticRegression(600, 3, 0.05, 47)) {}
 
   // A tenant population cycling through model kinds, schemes and attack
   // ratios: the heterogeneous mix of the issue.
@@ -81,7 +82,7 @@ class SessionFleetTest : public ::testing::Test {
     for (size_t i = 0; i < count; ++i) {
       TenantSpec spec;
       spec.name = "tenant-" + std::to_string(i);
-      spec.model = static_cast<TenantModelKind>(i % 3);
+      spec.model = static_cast<TenantModelKind>(i % 4);
       spec.scheme = schemes[i % schemes.size()];
       spec.game.round_size = 40 + 10 * (i % 3);
       spec.game.bootstrap_size = 80;
@@ -101,6 +102,12 @@ class SessionFleetTest : public ::testing::Test {
           attacks_.push_back(std::make_unique<InputManipulationAttack>(1.0));
           spec.ldp_attack = attacks_.back().get();
           break;
+        case TenantModelKind::kResidual:
+          // The fitted-model reference puts the refit loop under the
+          // same determinism contracts as the other kinds.
+          spec.regression = &regression_;
+          spec.reference = TenantReferenceKind::kFittedModel;
+          break;
       }
       specs.push_back(spec);
     }
@@ -112,6 +119,7 @@ class SessionFleetTest : public ::testing::Test {
   std::vector<double> population_;
   PiecewiseMechanism mechanism_;
   std::vector<std::unique_ptr<LdpAttack>> attacks_;
+  RegressionData regression_;
 };
 
 // --------------------------------------------------------------------------
