@@ -38,6 +38,7 @@
 #include "fleet/session_fleet.h"
 #include "ldp/attacks.h"
 #include "ldp/mechanism.h"
+#include "ml/linreg.h"
 
 namespace itrim {
 namespace {
@@ -54,6 +55,7 @@ struct FleetFixture {
   Dataset data;
   std::vector<double> population;
   PiecewiseMechanism mechanism{2.0};
+  RegressionData regression = MakeSyntheticRegression(600, 3, 0.05, 47);
   std::vector<std::unique_ptr<LdpAttack>> attacks;
 
   FleetFixture() {
@@ -72,6 +74,7 @@ struct FleetFixture {
     for (size_t i = 0; i < tenants; ++i) {
       TenantSpec spec;
       spec.name = "t" + std::to_string(i);
+      // Three kinds only: the baselines gate this scalar/distance/LDP mix.
       spec.model = static_cast<TenantModelKind>(i % 3);
       spec.scheme = schemes[i % schemes.size()];
       spec.game.round_size = 30;
@@ -91,6 +94,9 @@ struct FleetFixture {
           spec.ldp_mechanism = &mechanism;
           attacks.push_back(std::make_unique<InputManipulationAttack>(1.0));
           spec.ldp_attack = attacks.back().get();
+          break;
+        case TenantModelKind::kResidual:
+          spec.regression = &regression;
           break;
       }
       specs.push_back(spec);

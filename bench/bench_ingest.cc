@@ -17,8 +17,10 @@
 //      against bench/baselines/BENCH_ingest.json.
 //   3. Rehydration per model kind (`rehydrate/<model>`): tenants of one
 //      kind are parked and rehydrated one at a time, reporting the
-//      rehydration p50/p90 and the parked bytes per tenant (checkpoint
-//      plus the kept, calibrated score model; see ParkedBytes).
+//      rehydration p50/p90, the parked bytes per tenant (checkpoint plus
+//      the kept, calibrated score model; see ParkedBytes) and the heap
+//      traffic of one hibernate + rehydrate cycle (bytes and allocations
+//      requested, mean over every cycle).
 //
 // `--smoke` shrinks every phase and is registered with ctest as
 // bench/bench_ingest_smoke. Knobs: ITRIM_BENCH_TENANTS,
@@ -326,6 +328,8 @@ struct RehydrateResult {
   std::vector<double> rehydrate_us;  ///< one sample per rehydration
   double total_ms = 0.0;
   double parked_bytes_per_tenant = 0.0;
+  double cycle_alloc_bytes = 0.0;  ///< mean per hibernate + rehydrate
+  double cycle_allocations = 0.0;  ///< mean per hibernate + rehydrate
   bool ok = false;
 };
 
@@ -349,8 +353,10 @@ RehydrateResult RunRehydrate(IngestFixture* fixture, TenantModelKind model,
   }
   result.rehydrate_us.reserve(tenants * static_cast<size_t>(cycles));
   double parked_bytes = 0.0;
+  bench::AllocCounts cycle_traffic;
   for (int c = 0; c < cycles; ++c) {
     for (size_t i = 0; i < tenants; ++i) {
+      const bench::AllocCounts before = bench::ThreadAllocCounts();
       if (!fleet.HibernateTenant(i).ok()) return result;
       if (c == 0) {
         parked_bytes += static_cast<double>(ParkedBytes(fleet.tenant(i)));
@@ -358,6 +364,9 @@ RehydrateResult RunRehydrate(IngestFixture* fixture, TenantModelKind model,
       const auto t0 = std::chrono::steady_clock::now();
       if (!fleet.RehydrateTenant(i).ok()) return result;
       const auto t1 = std::chrono::steady_clock::now();
+      const bench::AllocCounts cycle = bench::ThreadAllocCounts() - before;
+      cycle_traffic.allocations += cycle.allocations;
+      cycle_traffic.bytes += cycle.bytes;
       const double us =
           std::chrono::duration<double, std::micro>(t1 - t0).count();
       result.rehydrate_us.push_back(us);
@@ -367,6 +376,11 @@ RehydrateResult RunRehydrate(IngestFixture* fixture, TenantModelKind model,
   }
   result.parked_bytes_per_tenant =
       parked_bytes / static_cast<double>(tenants);
+  const double cycle_count = static_cast<double>(result.rehydrate_us.size());
+  result.cycle_alloc_bytes =
+      static_cast<double>(cycle_traffic.bytes) / cycle_count;
+  result.cycle_allocations =
+      static_cast<double>(cycle_traffic.allocations) / cycle_count;
   result.ok = true;
   return result;
 }
@@ -458,11 +472,15 @@ int main(int argc, char** argv) {
         .Counter("tenants", static_cast<double>(rehydrate_tenants))
         .Counter("p50_us", p50)
         .Counter("p90_us", p90)
-        .Counter("parked_bytes_per_tenant", r.parked_bytes_per_tenant);
+        .Counter("parked_bytes_per_tenant", r.parked_bytes_per_tenant)
+        .Counter("cycle_alloc_bytes", r.cycle_alloc_bytes)
+        .Counter("cycle_allocations", r.cycle_allocations);
     std::printf("rehydrate/%s: %zu rehydrations, p50 %.2f us, p90 %.2f us, "
-                "%.0f parked bytes/tenant\n",
+                "%.0f parked bytes/tenant, %.0f bytes in %.1f allocations "
+                "per cycle\n",
                 TenantModelKindName(kind).c_str(), r.rehydrate_us.size(),
-                p50, p90, r.parked_bytes_per_tenant);
+                p50, p90, r.parked_bytes_per_tenant, r.cycle_alloc_bytes,
+                r.cycle_allocations);
   }
 
   // The acceptance floor runs only in the full mode: smoke runs on

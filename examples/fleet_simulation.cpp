@@ -7,9 +7,9 @@
 // (trim rate, poison acceptance, cross-tenant quantiles) as the streams
 // advance. Results are bit-identical at any thread count.
 //
-// Here: 12 tenants mixing the three data settings (scalar, d-dimensional
-// distance, LDP reports) and three defense schemes, stepped live with the
-// fleet-wide aggregate printed per round.
+// Here: 12 tenants mixing the four data settings (scalar, d-dimensional
+// distance, LDP reports, regression residuals) and three defense schemes,
+// stepped live with the fleet-wide aggregate printed per round.
 #include <cstdio>
 #include <memory>
 #include <vector>
@@ -19,6 +19,7 @@
 #include "fleet/session_fleet.h"
 #include "ldp/attacks.h"
 #include "ldp/mechanism.h"
+#include "ml/linreg.h"
 
 int main() {
   using namespace itrim;
@@ -32,6 +33,8 @@ int main() {
   for (int i = 0; i < 4000; ++i) population.push_back(rng.Uniform(-1.0, 1.0));
   PiecewiseMechanism mechanism(/*epsilon=*/2.0);
   std::vector<std::unique_ptr<LdpAttack>> attacks;  // one per LDP tenant
+  // Residual tenants: a synthetic linear model, 600 rows in 3 dimensions.
+  RegressionData regression = MakeSyntheticRegression(600, 3, 0.05, 47);
 
   // 12 tenants: cycle data settings and defense schemes, vary the attack.
   const SchemeId defenses[] = {SchemeId::kElastic05, SchemeId::kTitfortat,
@@ -40,11 +43,11 @@ int main() {
   for (size_t i = 0; i < 12; ++i) {
     TenantSpec spec;
     spec.name = "tenant-" + std::to_string(i);
-    spec.model = static_cast<TenantModelKind>(i % 3);
-    spec.scheme = defenses[(i / 3) % 3];
+    spec.model = static_cast<TenantModelKind>(i % 4);
+    spec.scheme = defenses[(i / 4) % 3];
     spec.game.round_size = 200;
     spec.game.bootstrap_size = 200;
-    spec.game.attack_ratio = 0.1 + 0.05 * static_cast<double>(i % 4);
+    spec.game.attack_ratio = 0.1 + 0.05 * static_cast<double>(i % 3);
     switch (spec.model) {
       case TenantModelKind::kScalar:
         spec.scalar_pool = &pool;
@@ -58,6 +61,9 @@ int main() {
         spec.ldp_mechanism = &mechanism;
         attacks.push_back(std::make_unique<InputManipulationAttack>(1.0));
         spec.ldp_attack = attacks.back().get();
+        break;
+      case TenantModelKind::kResidual:
+        spec.regression = &regression;
         break;
     }
     specs.push_back(spec);

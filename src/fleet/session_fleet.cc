@@ -199,7 +199,7 @@ Result<std::vector<RoundRecord>> SessionFleet::TenantRounds(size_t i) const {
                               " out of range");
   }
   if (tenants_[i].resident()) {
-    return tenants_[i].session->round_log().ToVector();
+    return tenants_[i].session->round_log();
   }
   if (tenants_[i].hibernated != nullptr) {
     return tenants_[i].hibernated->checkpoint.records;
@@ -475,7 +475,7 @@ void SessionFleet::RebuildAggregates() {
   std::vector<RoundRecord> row(tenants_.size());
   for (size_t r = 0; r < rounds_played; ++r) {
     for (size_t i = 0; i < tenants_.size(); ++i) {
-      row[i] = tenants_[i].session->round_log().Get(r);
+      row[i] = tenants_[i].session->round_log()[r];
     }
     round_aggregates_.push_back(ReduceRound(static_cast<int>(r) + 1, row));
   }

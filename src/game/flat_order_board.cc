@@ -189,19 +189,6 @@ void FlatOrderBoard::Clear() {
   total_ = 0;
 }
 
-void FlatOrderBoard::Reserve(size_t n) {
-  if (n == 0) return;
-  // Every leaf holds >= kLeafMin values (single-leaf boards excepted), so n
-  // values occupy at most n / kLeafMin leaves, +1 transiently mid-split and
-  // +1 slack for the lone-leaf case.
-  const size_t max_leaves = n / kLeafMin + 2;
-  pool_.reserve(max_leaves);
-  free_.reserve(max_leaves);
-  order_.reserve(max_leaves);
-  max_key_.reserve(max_leaves);
-  fenwick_.reserve(max_leaves + 1);
-}
-
 void FlatOrderBoard::FenwickRebuild() {
   const size_t m = LeafCount();
   fenwick_.assign(m + 1, 0);

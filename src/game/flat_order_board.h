@@ -19,9 +19,10 @@
 // count (kernels::CountGreater / kernels::CountAtLeast — the same batched
 // tail-counting kernels the scoring path uses, auto-vectorized over the
 // ≤ 64-double leaf), and a small memmove. Leaves split at kLeafCapacity and
-// merge/borrow below kLeafMin, so the leaf count stays ≤ n / kLeafMin + 1
-// and Reserve() can pre-size every array — a capacity-bounded reservoir
-// then churns allocation-free forever.
+// merge/borrow below kLeafMin, so the leaf count stays ≤ n / kLeafMin + 1.
+// Storage grows with the values held; nothing is reserved up front (the
+// public board is filled once at bootstrap and frozen after, so its index
+// holds what it recorded and no more).
 //
 // Exactness contract: for any reachable multiset, Kth/CountLessEqual and
 // therefore Quantile()/PercentileRank() return bit-identical doubles to the
@@ -57,11 +58,6 @@ class FlatOrderBoard {
 
   /// \brief Drops all values; leaf storage is kept for reuse.
   void Clear();
-
-  /// \brief Pre-sizes the leaf pool and index arrays for `n` values so a
-  /// bounded reservoir runs allocation-free forever: the min-fill invariant
-  /// bounds the live leaf count by n / kLeafMin + 1, splits included.
-  void Reserve(size_t n);
 
   /// \brief Number of values currently held.
   size_t size() const { return total_; }

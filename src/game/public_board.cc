@@ -5,14 +5,7 @@
 namespace itrim {
 
 PublicBoard::PublicBoard(size_t capacity, uint64_t seed)
-    : capacity_(capacity), rng_(seed) {
-  if (capacity_ > 0) {
-    // A bounded board's storage high-water mark is known up front; paying
-    // it here keeps the record path allocation-free from the first value.
-    values_.reserve(capacity_);
-    flat_.Reserve(capacity_);
-  }
-}
+    : capacity_(capacity), rng_(seed) {}
 
 void PublicBoard::Record(const std::vector<double>& values) {
   for (double v : values) RecordOne(v);
@@ -69,7 +62,6 @@ Status PublicBoard::Restore(const Snapshot& snapshot) {
   total_recorded_ = snapshot.total_recorded;
   rng_.Restore(snapshot.rng);
   flat_.Clear();
-  flat_.Reserve(capacity_);
   for (double v : values_) flat_.Insert(v);
   return Status::OK();
 }

@@ -10,6 +10,13 @@
 // the cutoffs downward, so all round-to-round adaptivity lives in the
 // strategies, not in reference drift.
 //
+// In the engine the board is therefore frozen after bootstrap: only the
+// score models' Bootstrap() records into it, and Step() only reads it.
+// Storage is sized to what the board holds, not to its capacity — nothing
+// is reserved up front; the values and the index grow while the bootstrap
+// records and then stay put. A session checkpoint carries the values only;
+// Restore() rebuilds the index by re-inserting them in slot order.
+//
 // Order statistics are served by a FlatOrderBoard (sorted 64-double leaves
 // over a Fenwick-counted flat index, cache-local): O(log n) per operation
 // and *bit-identical* to the sorted-oracle semantics (QuantileSorted /
@@ -63,8 +70,8 @@ class PublicBoard {
   void Clear();
 
   /// \brief Serializable board state for session checkpointing. The
-  /// order-statistic index is not part of it: Restore rebuilds the index
-  /// from the values, so the subsequent stream is identical.
+  /// order-statistic index is not part of it: Restore re-inserts the values
+  /// in slot order, so the subsequent stream is identical.
   struct Snapshot {
     std::vector<double> values;
     size_t total_recorded = 0;

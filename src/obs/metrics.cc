@@ -113,11 +113,12 @@ MetricsSnapshot MetricsRegistry::Scrape() const {
     for (int h = 0; h < kNumHistograms; ++h) {
       const auto& cells = slot->histograms_[h];
       HistogramValue& hv = values.histograms[h];
+      // `count` first: the buckets read after it can only run ahead of it.
+      hv.count = cells.count.load(std::memory_order_acquire);
       for (size_t b = 0; b < hv.counts.size(); ++b) {
         hv.counts[b] = cells.counts[b].load(std::memory_order_relaxed);
       }
       hv.sum = cells.sum.load(std::memory_order_relaxed);
-      hv.count = cells.count.load(std::memory_order_relaxed);
     }
     for (int c = 0; c < kNumCounters; ++c) {
       snap.merged.counters[c] += values.counters[c];

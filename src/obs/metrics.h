@@ -5,7 +5,8 @@
 // Contract with the rest of the engine:
 //   - Recording never allocates, never locks, and never reads or writes any
 //     session/fleet state: a slot is a flat array of std::atomic words and
-//     Inc/Set/Observe are single relaxed RMW/stores. The zero-allocation
+//     Inc/Set/Observe are lock-free RMW/stores (relaxed, except that a
+//     histogram's count is released after its bucket). The zero-allocation
 //     steady-state proof (tests/game/zero_alloc_test.cc) runs with metrics
 //     attached.
 //   - Observability never perturbs computation or RNG, so every bit-identity
@@ -194,7 +195,9 @@ class MetricSlot {
     while (bucket < n && v > info.bounds[bucket]) ++bucket;
     HistogramCells& cells = histograms_[static_cast<int>(h)];
     cells.counts[bucket].fetch_add(1, std::memory_order_relaxed);
-    cells.count.fetch_add(1, std::memory_order_relaxed);
+    // Release pairs with Scrape()'s acquire load of `count`: a scrape that
+    // sees this observation counted also sees its bucket.
+    cells.count.fetch_add(1, std::memory_order_release);
     // fetch_add on atomic<double> (C++20); libstdc++/libc++ lower it to a CAS
     // loop, which is still lock-free and allocation-free.
     cells.sum.fetch_add(v, std::memory_order_relaxed);

@@ -4,13 +4,16 @@
 // every round boundary, and across repeated hibernate-rehydrate cycles. The
 // kept score model is checked too: it survives parking without being
 // calibrated again, a failed rehydration keeps it, and the warm
-// rehydration equals a cold materialize-and-restore.
+// rehydration equals a cold materialize-and-restore. A cycle's heap traffic
+// is bounded by what the tenant holds, not by its board capacity (counted
+// with the allocator from bench/alloc_counter.h).
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "bench/alloc_counter.h"
 #include "data/generators.h"
 #include "exp/schemes.h"
 #include "fleet/session_fleet.h"
@@ -201,8 +204,8 @@ TEST_F(HibernationTest, FailedRehydrateKeepsTenantParkedWithItsModel) {
     EXPECT_EQ(tenant.model.get(), kept);
     EXPECT_EQ(kept->calibrations(), 1u);
     for (int r = 3; r < 6; ++r) ASSERT_TRUE(tenant.session->Step().ok());
-    ExpectRecordsBitIdentical(expected.session->round_log().ToVector(),
-                              tenant.session->round_log().ToVector());
+    ExpectRecordsBitIdentical(expected.session->round_log(),
+                              tenant.session->round_log());
   }
 }
 
@@ -229,8 +232,8 @@ TEST_F(HibernationTest, ColdRestoreEqualsWarmRehydrate) {
       ASSERT_TRUE(cold.session->Step().ok());
       ASSERT_TRUE(warm.session->Step().ok());
     }
-    ExpectRecordsBitIdentical(cold.session->round_log().ToVector(),
-                              warm.session->round_log().ToVector());
+    ExpectRecordsBitIdentical(cold.session->round_log(),
+                              warm.session->round_log());
   }
 }
 
@@ -256,8 +259,48 @@ TEST_F(HibernationTest, RestoreRecalibratesUnderAnotherIdentity) {
   ASSERT_TRUE(resumed.Restore(checkpoint).ok());
   EXPECT_EQ(other.model->calibrations(), 2u);
   for (int r = 0; r < 3; ++r) ASSERT_TRUE(resumed.Step().ok());
-  ExpectRecordsBitIdentical(source.session->round_log().ToVector(),
-                            resumed.round_log().ToVector());
+  ExpectRecordsBitIdentical(source.session->round_log(),
+                            resumed.round_log());
+}
+
+// One hibernate + rehydrate cycle moves what the tenant holds — its board
+// values, its round book, the rebuilt strategies and session — not what it
+// could hold: the board is frozen after bootstrap, so nothing may be sized
+// to board_capacity. Bounded at the churn shape (a 40-value board under a
+// 512 cap) and at the paper's game shape (500 values under a 20000 cap).
+TEST_F(HibernationTest, CycleHeapTrafficScalesWithHeldValuesNotCapacity) {
+  struct Shape {
+    const char* name;
+    size_t round_size;
+    size_t bootstrap_size;
+    size_t board_capacity;
+    uint64_t max_cycle_bytes;
+  };
+  const Shape shapes[] = {{"churn", 30, 40, 512, 8 * 1024},
+                          {"bulk", 500, 500, 20000, 32 * 1024}};
+  for (const Shape& shape : shapes) {
+    SCOPED_TRACE(shape.name);
+    for (TenantModelKind model : kAllKinds) {
+      TenantSpec spec = SpecFor(model);
+      SCOPED_TRACE(spec.name);
+      spec.game.round_size = shape.round_size;
+      spec.game.bootstrap_size = shape.bootstrap_size;
+      spec.game.board_capacity = shape.board_capacity;
+      Tenant tenant = MaterializeTenant(spec, 606).ValueOrDie();
+      ASSERT_TRUE(tenant.session->Bootstrap().ok());
+      for (int cycle = 0; cycle < 3; ++cycle) {
+        ASSERT_TRUE(tenant.session->Step().ok());
+        const bench::AllocCounts before = bench::ThreadAllocCounts();
+        ASSERT_TRUE(HibernateTenant(&tenant).ok());
+        ASSERT_TRUE(RehydrateTenant(&tenant).ok());
+        const bench::AllocCounts cycle_traffic =
+            bench::ThreadAllocCounts() - before;
+        EXPECT_LT(cycle_traffic.bytes, shape.max_cycle_bytes)
+            << "cycle " << cycle << ": " << cycle_traffic.allocations
+            << " allocations";
+      }
+    }
+  }
 }
 
 // Repeated park/rebuild cycles — including several in a row with no round

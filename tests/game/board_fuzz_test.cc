@@ -22,6 +22,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -223,6 +224,55 @@ TEST_P(BoardFuzzTest, PublicBoardAtReservoirBoundaryMatchesSortedOracle) {
     EXPECT_EQ(flat.size(),
               std::min<size_t>(capacity, static_cast<size_t>(clear_at)));
     EXPECT_EQ(flat.total_recorded(), static_cast<size_t>(clear_at));
+  }
+}
+
+// Phase 3: Save/Restore inside the reservoir stream. At random points the
+// bounded board is snapshotted and restored into a fresh board of the same
+// capacity (constructed under another seed, so the reservoir Rng must come
+// from the snapshot); both then keep recording the same values, so the
+// restored index must track the original through the reservoir's
+// EraseOne/Insert churn.
+TEST_P(BoardFuzzTest, SaveRestoreMidReservoirStreamStaysBitIdentical) {
+  const ValuePattern pattern = GetParam();
+  SCOPED_TRACE(PatternName(pattern));
+  const int ops = FuzzOps(900);
+  for (size_t capacity : {1u, 2u, 3u, 7u, 64u, 200u}) {
+    SCOPED_TRACE("capacity " + std::to_string(capacity));
+    PublicBoard original(capacity, capacity * 13 + 5);
+    std::unique_ptr<PublicBoard> restored;
+    Rng rng(700 + capacity);
+    size_t step = 0;
+    int restores = 0;
+    for (int op = 0; op < ops; ++op) {
+      if (rng.Bernoulli(0.02) || op == ops / 3) {
+        restored = std::make_unique<PublicBoard>(capacity, 99);
+        ASSERT_TRUE(restored->Restore(original.Save()).ok());
+        ++restores;
+      }
+      const double v = DrawValue(pattern, step++, &rng);
+      original.RecordOne(v);
+      if (restored == nullptr) continue;
+      restored->RecordOne(v);
+      ASSERT_EQ(restored->total_recorded(), original.total_recorded());
+      const std::vector<double>& a = original.values();
+      const std::vector<double>& b = restored->values();
+      ASSERT_EQ(a.size(), b.size());
+      for (size_t i = 0; i < a.size(); ++i) {
+        ASSERT_TRUE(BitEqual(a[i], b[i])) << "slot " << i;
+      }
+      for (double q : {0.0, 0.25, 0.5, 0.9, 1.0, rng.Uniform()}) {
+        ASSERT_TRUE(BitEqual(original.Quantile(q).ValueOrDie(),
+                             restored->Quantile(q).ValueOrDie()))
+            << "q=" << q;
+      }
+      for (double x : {a[rng.UniformInt(a.size())], v, v - 0.5, v + 0.5}) {
+        ASSERT_TRUE(
+            BitEqual(original.PercentileRank(x), restored->PercentileRank(x)))
+            << "x=" << x;
+      }
+    }
+    EXPECT_GE(restores, 1);
   }
 }
 

@@ -1,9 +1,8 @@
 // FlatOrderBoard unit + property coverage, including leaf-structure-targeted
 // cases: splits at kLeafCapacity, merges and cross-boundary borrows at
-// kLeafMin, duplicate runs spanning leaf boundaries, and the reserved-pool
-// churn that backs the zero-allocation reservoir contract. Every
-// order-statistic check is exact (bitwise against the sorted oracle), so any
-// divergence is a bug, not noise.
+// kLeafMin, duplicate runs spanning leaf boundaries, and pooled-slot churn at
+// a fixed size. Every order-statistic check is exact (bitwise against the
+// sorted oracle), so any divergence is a bug, not noise.
 #include "game/flat_order_board.h"
 
 #include <gtest/gtest.h>
@@ -284,14 +283,13 @@ TEST(FlatOrderBoardTest, PropertyAgainstMultisetOracle) {
   }
 }
 
-// Reserved-pool stress: Reserve() then long erase/insert churn at a fixed
-// multiset size — the steady state of a capacity-bounded reservoir, where
+// Pooled-slot stress: long erase/insert churn at a fixed multiset size —
+// the steady state of a capacity-bounded reservoir, where
 // merged-away leaves feed the slot free list that later splits drain. Any
 // slot-recycling corruption (stale order entries, Fenwick drift) surfaces
 // as divergence from the sorted oracle replayed alongside.
 TEST(FlatOrderBoardTest, PooledChurnMatchesSortedOracleBitForBit) {
   FlatOrderBoard board;
-  board.Reserve(256);
   std::vector<double> oracle;
   Rng rng(9001);
   for (int i = 0; i < 256; ++i) {

@@ -72,7 +72,11 @@ TEST(ObsConcurrentTest, ScraperRacesIngestAndTotalsMatchGroundTruth) {
     }
   });
 
-  // Two producers split the tenants between them.
+  // Two producers split the tenants between them. They start once the
+  // scraper has finished a first scrape, so it is provably live while the
+  // workers play rounds (the whole stream takes a few milliseconds, which
+  // a loaded scheduler can otherwise let pass before the scraper runs).
+  while (scrapes.load() == 0) std::this_thread::yield();
   auto produce = [&](size_t first_tenant) {
     for (int e = 0; e < kEventsPerTenant; ++e) {
       for (size_t t = first_tenant; t < kTenants; t += 2) {
