@@ -17,10 +17,12 @@
 //      against bench/baselines/BENCH_ingest.json.
 //   3. Rehydration per model kind (`rehydrate/<model>`): tenants of one
 //      kind are parked and rehydrated one at a time, reporting the
-//      rehydration p50/p90, the parked bytes per tenant (checkpoint plus
-//      the kept, calibrated score model; see ParkedBytes) and the heap
-//      traffic of one hibernate + rehydrate cycle (bytes and allocations
-//      requested, mean over every cycle).
+//      rehydration p50/p90, the parked bytes per tenant (the kept session,
+//      strategies, reference and calibrated score model plus the parked
+//      stream state; see ParkedBytes) and the heap traffic of one
+//      hibernate + rehydrate cycle (bytes and allocations requested, mean
+//      over every cycle). A cycle parks in place, so any allocation in it
+//      fails the binary.
 //
 // `--smoke` shrinks every phase and is registered with ctest as
 // bench/bench_ingest_smoke. Knobs: ITRIM_BENCH_TENANTS,
@@ -335,8 +337,8 @@ struct RehydrateResult {
 
 // Phase 3: rehydration cost and parked memory of one model kind. Every
 // tenant plays a round, then each cycle parks it, times its rehydration
-// alone and plays one more round, so each restore replays a growing book
-// just like an evicted tenant under churn.
+// alone and plays one more round, so each cycle moves a growing book just
+// like an evicted tenant under churn.
 RehydrateResult RunRehydrate(IngestFixture* fixture, TenantModelKind model,
                              size_t tenants, int cycles) {
   RehydrateResult result;
@@ -481,6 +483,14 @@ int main(int argc, char** argv) {
                 TenantModelKindName(kind).c_str(), r.rehydrate_us.size(),
                 p50, p90, r.parked_bytes_per_tenant, r.cycle_alloc_bytes,
                 r.cycle_allocations);
+    if (r.cycle_allocations != 0.0) {
+      std::fprintf(stderr,
+                   "FAIL: rehydrate/%s allocated %.1f times (%.0f bytes) per "
+                   "hibernate + rehydrate cycle\n",
+                   TenantModelKindName(kind).c_str(), r.cycle_allocations,
+                   r.cycle_alloc_bytes);
+      return 1;
+    }
   }
 
   // The acceptance floor runs only in the full mode: smoke runs on

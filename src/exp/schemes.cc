@@ -1,5 +1,7 @@
 #include "exp/schemes.h"
 
+#include <utility>
+
 #include "game/score_model.h"
 
 namespace itrim {
@@ -24,51 +26,63 @@ std::string SchemeName(SchemeId id) {
   return "unknown";
 }
 
+namespace {
+
+// make_unique that also tallies the concrete object size into `bytes`.
+template <typename T, typename... Args>
+std::unique_ptr<T> Own(size_t* bytes, Args&&... args) {
+  *bytes += sizeof(T);
+  return std::make_unique<T>(std::forward<Args>(args)...);
+}
+
+}  // namespace
+
 SchemeInstance MakeScheme(SchemeId id, double tth,
                           const SchemeOptions& options) {
   SchemeInstance s;
   s.id = id;
   s.name = SchemeName(id);
+  size_t* const bytes = &s.object_bytes;
   switch (id) {
     case SchemeId::kGroundtruth:
       // Clean reference: no trimming; pair with a dormant adversary (the
       // runner sets attack_ratio = 0 for this scheme).
-      s.collector = std::make_unique<OstrichCollector>();
-      s.adversary = std::make_unique<FixedPercentileAdversary>(0.99);
+      s.collector = Own<OstrichCollector>(bytes);
+      s.adversary = Own<FixedPercentileAdversary>(bytes, 0.99);
       break;
     case SchemeId::kOstrich:
-      s.collector = std::make_unique<OstrichCollector>();
-      s.adversary = std::make_unique<FixedPercentileAdversary>(0.99);
+      s.collector = Own<OstrichCollector>(bytes);
+      s.adversary = Own<FixedPercentileAdversary>(bytes, 0.99);
       break;
     case SchemeId::kBaseline09:
-      s.collector = std::make_unique<StaticCollector>(0.9, "Baseline0.9");
-      s.adversary = std::make_unique<UniformRangeAdversary>(0.9, 1.0);
+      s.collector = Own<StaticCollector>(bytes, 0.9, "Baseline0.9");
+      s.adversary = Own<UniformRangeAdversary>(bytes, 0.9, 1.0);
       break;
     case SchemeId::kBaselineStatic:
-      s.collector = std::make_unique<StaticCollector>(tth, "Baselinestatic");
-      s.adversary = std::make_unique<ThresholdOffsetAdversary>(-0.01);
+      s.collector = Own<StaticCollector>(bytes, tth, "Baselinestatic");
+      s.adversary = Own<ThresholdOffsetAdversary>(bytes, -0.01);
       break;
     case SchemeId::kTitfortat:
-      s.collector = std::make_unique<TitfortatCollector>(
-          +0.01, -0.03, options.titfortat_trigger_quality);
+      s.collector = Own<TitfortatCollector>(
+          bytes, +0.01, -0.03, options.titfortat_trigger_quality);
       // The Theorem-3-compliant adversary: under the trigger threat it
       // concedes the utility compromise delta and plays the soft position
       // Tth - 3% (the same concession the Elastic equilibrium converges
       // to), keeping the quality evaluation clear of the defect band.
-      s.adversary = std::make_unique<FixedPercentileAdversary>(tth - 0.03);
+      s.adversary = Own<FixedPercentileAdversary>(bytes, tth - 0.03);
       // Band edges are percentile *positions* (the distance game's score
       // domain), hence the absolute cutoff mode.
-      s.quality = std::make_unique<DefectShareQuality>(
-          options.band_lo, options.band_hi,
+      s.quality = Own<DefectShareQuality>(
+          bytes, options.band_lo, options.band_hi,
           DefectShareQuality::CutoffMode::kAbsolute);
       break;
     case SchemeId::kElastic01:
-      s.collector = std::make_unique<ElasticCollector>(0.1);
-      s.adversary = std::make_unique<ElasticAdversary>(0.1);
+      s.collector = Own<ElasticCollector>(bytes, 0.1);
+      s.adversary = Own<ElasticAdversary>(bytes, 0.1);
       break;
     case SchemeId::kElastic05:
-      s.collector = std::make_unique<ElasticCollector>(0.5);
-      s.adversary = std::make_unique<ElasticAdversary>(0.5);
+      s.collector = Own<ElasticCollector>(bytes, 0.5);
+      s.adversary = Own<ElasticAdversary>(bytes, 0.5);
       break;
   }
   return s;

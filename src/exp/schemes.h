@@ -48,6 +48,9 @@ struct SchemeInstance {
   std::unique_ptr<CollectorStrategy> collector;
   std::unique_ptr<AdversaryStrategy> adversary;
   std::unique_ptr<QualityEvaluation> quality;  ///< may be null
+  /// Bytes of the strategy objects MakeScheme allocated, by their concrete
+  /// types (the scheme strategies own no heap buffers of their own).
+  size_t object_bytes = 0;
 };
 
 /// \brief Options tweaking scheme construction.

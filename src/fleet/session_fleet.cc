@@ -198,14 +198,9 @@ Result<std::vector<RoundRecord>> SessionFleet::TenantRounds(size_t i) const {
     return Status::OutOfRange("tenant index " + std::to_string(i) +
                               " out of range");
   }
-  if (tenants_[i].resident()) {
-    return tenants_[i].session->round_log();
-  }
-  if (tenants_[i].hibernated != nullptr) {
-    return tenants_[i].hibernated->checkpoint.records;
-  }
-  return Status::FailedPrecondition("tenant #" + std::to_string(i) +
-                                    " was never materialized");
+  const Tenant& tenant = tenants_[i];
+  return tenant.resident() ? tenant.session->round_log()
+                           : tenant.hibernated->checkpoint.records;
 }
 
 Result<FleetRoundAggregate> SessionFleet::StepRound() {
@@ -282,10 +277,7 @@ Status SessionFleet::AttachTenantObservability(size_t i,
     return Status::OutOfRange("tenant index " + std::to_string(i) +
                               " out of range");
   }
-  tenants_[i].obs = sinks;
-  if (tenants_[i].resident()) {
-    tenants_[i].session->set_observability(sinks);
-  }
+  tenants_[i].session->set_observability(sinks);
   return Status::OK();
 }
 
@@ -309,10 +301,11 @@ FleetSummary SessionFleet::Finish() const {
     GameSummary game;
     if (tenant.resident()) {
       game = tenant.session->Finish();
-    } else if (tenant.hibernated != nullptr) {
-      // Summarize from the parked checkpoint without waking the tenant.
+    } else {
+      // Summarize from the parked records and the kept collector without
+      // waking the tenant.
       game.rounds = tenant.hibernated->checkpoint.records;
-      game.termination_round = tenant.hibernated->termination_round;
+      game.termination_round = tenant.scheme.collector->termination_round();
     }
     untrimmed.push_back(game.UntrimmedPoisonFraction());
     benign_loss.push_back(game.BenignLossFraction());

@@ -128,7 +128,7 @@ class SessionFleet {
 
   /// \brief Summary of everything played so far; the fleet remains
   /// steppable. Hibernated tenants are summarized from their parked
-  /// checkpoints without rehydration.
+  /// state without rehydration.
   FleetSummary Finish() const;
 
   /// \brief Captures the lockstep round counter and every session's
@@ -170,12 +170,15 @@ class SessionFleet {
   /// tenant must be resident.
   Result<RoundRecord> StepTenant(size_t i);
 
-  /// \brief Evicts tenant `i` to its compact checkpoint, releasing its
-  /// session, model and strategies (per-tenant mode).
+  /// \brief Parks tenant `i` in place (per-tenant mode): its stream state
+  /// moves aside into Tenant::hibernated and its round-sized buffers are
+  /// freed; the session, strategies, reference and calibrated model stay
+  /// (see itrim::HibernateTenant).
   Status HibernateTenant(size_t i);
 
-  /// \brief Rebuilds hibernated tenant `i` and restores its parked state;
-  /// its subsequent stream is bit-identical to never having hibernated.
+  /// \brief Moves hibernated tenant `i`'s parked stream state back into its
+  /// kept session; its subsequent stream is bit-identical to never having
+  /// hibernated.
   Status RehydrateTenant(size_t i);
 
   /// \brief True when tenant `i`'s session is live (false = hibernated).
@@ -185,7 +188,7 @@ class SessionFleet {
   size_t ResidentTenants() const;
 
   /// \brief Round records tenant `i` has played so far, resident or
-  /// hibernated (hibernated tenants answer from the parked checkpoint).
+  /// hibernated (hibernated tenants answer from their parked state).
   Result<std::vector<RoundRecord>> TenantRounds(size_t i) const;
 
   // -- Observability -------------------------------------------------------
@@ -198,8 +201,8 @@ class SessionFleet {
   /// bit-identical with or without it.
   void AttachObservability(obs::MetricSlot* slot) { obs_slot_ = slot; }
 
-  /// \brief Attaches per-tenant session sinks (survives hibernation: the
-  /// sinks are persisted on the Tenant and re-attached on rehydration).
+  /// \brief Attaches per-tenant session sinks (they survive hibernation:
+  /// the session they are attached to is kept while parked).
   /// Requires a bootstrapped fleet; OutOfRange for a bad index.
   /// Default-constructed sinks detach.
   Status AttachTenantObservability(size_t i, const SessionObs& sinks);

@@ -1,7 +1,5 @@
 #include "fleet/tenant.h"
 
-#include <utility>
-
 #include "common/rng.h"
 
 namespace itrim {
@@ -60,46 +58,6 @@ uint64_t DeriveTenantSeed(uint64_t fleet_seed, size_t tenant_index) {
   return stream.Next();
 }
 
-namespace {
-
-// The live objects a resident tenant adds around its score model: the
-// scheme's strategies, the owned trim reference and the session borrowing
-// them. Built the same way at materialization and at rehydration, so the
-// LDP/adversary wiring exists once.
-struct SessionParts {
-  SchemeInstance scheme;
-  std::unique_ptr<ReferencePolicy> reference;
-  std::unique_ptr<TrimmingSession> session;
-};
-
-SessionParts AssembleSession(const TenantSpec& spec, const GameConfig& config,
-                             ScoreModel* model) {
-  SessionParts parts;
-  parts.scheme = MakeScheme(spec.scheme, config.tth, spec.scheme_options);
-  // LDP poison is materialized by the attack; the session runs without an
-  // AdversaryStrategy, exactly like the LdpCollectionGame path (an
-  // adversary would consume RNG draws the LDP stream never did).
-  AdversaryStrategy* adversary = spec.model == TenantModelKind::kLdp
-                                     ? nullptr
-                                     : parts.scheme.adversary.get();
-  if (spec.reference == TenantReferenceKind::kFittedModel) {
-    parts.reference =
-        std::make_unique<FittedModelReference>(spec.fitted_reference);
-  }
-  parts.session = std::make_unique<TrimmingSession>(
-      config, model, parts.scheme.collector.get(), adversary,
-      parts.scheme.quality.get(), parts.reference.get());
-  return parts;
-}
-
-void InstallSession(Tenant* tenant, SessionParts parts) {
-  tenant->scheme = std::move(parts.scheme);
-  tenant->reference = std::move(parts.reference);
-  tenant->session = std::move(parts.session);
-}
-
-}  // namespace
-
 Result<Tenant> MaterializeTenant(const TenantSpec& spec, uint64_t seed) {
   ITRIM_RETURN_NOT_OK(spec.Validate());
   Tenant tenant;
@@ -118,66 +76,61 @@ Result<Tenant> MaterializeTenant(const TenantSpec& spec, uint64_t seed) {
   inputs.ldp_tth = tenant.config.tth;
   ITRIM_ASSIGN_OR_RETURN(tenant.model, MakeScoreModel(spec.model, inputs));
   tenant.model->set_retain_survivors(spec.retain_survivors);
-  InstallSession(&tenant,
-                 AssembleSession(spec, tenant.config, tenant.model.get()));
+  tenant.scheme = MakeScheme(spec.scheme, tenant.config.tth,
+                             spec.scheme_options);
+  // LDP poison is materialized by the attack; the session runs without an
+  // AdversaryStrategy, exactly like the LdpCollectionGame path (an
+  // adversary would consume RNG draws the LDP stream never did).
+  AdversaryStrategy* adversary = spec.model == TenantModelKind::kLdp
+                                     ? nullptr
+                                     : tenant.scheme.adversary.get();
+  if (spec.reference == TenantReferenceKind::kFittedModel) {
+    tenant.reference =
+        std::make_unique<FittedModelReference>(spec.fitted_reference);
+  }
+  tenant.session = std::make_unique<TrimmingSession>(
+      tenant.config, tenant.model.get(), tenant.scheme.collector.get(),
+      adversary, tenant.scheme.quality.get(), tenant.reference.get());
+  // Allocated once here so that no hibernation cycle allocates.
+  tenant.hibernated = std::make_unique<TenantHibernation>();
   return tenant;
 }
 
 size_t ParkedBytes(const Tenant& tenant) {
-  size_t bytes = 0;
+  size_t bytes = tenant.scheme.object_bytes;
+  if (tenant.session != nullptr) bytes += tenant.session->FootprintBytes();
+  if (tenant.reference != nullptr) {
+    bytes += tenant.reference->FootprintBytes();
+  }
+  if (tenant.model != nullptr) bytes += tenant.model->FootprintBytes();
   if (tenant.hibernated != nullptr) {
     const SessionCheckpoint& c = tenant.hibernated->checkpoint;
     bytes += sizeof(TenantHibernation) +
              c.records.capacity() * sizeof(RoundRecord) +
              c.board.values.capacity() * sizeof(double);
   }
-  if (tenant.model != nullptr) bytes += tenant.model->FootprintBytes();
   return bytes;
 }
 
 Status HibernateTenant(Tenant* tenant) {
+  if (tenant->session == nullptr || tenant->hibernated == nullptr) {
+    return Status::FailedPrecondition("tenant was never materialized");
+  }
   if (!tenant->resident()) {
     return Status::FailedPrecondition("tenant is already hibernated");
   }
-  if (!tenant->session->bootstrapped()) {
-    return Status::FailedPrecondition(
-        "cannot hibernate an un-bootstrapped tenant");
-  }
-  auto parked = std::make_unique<TenantHibernation>();
-  parked->checkpoint = tenant->session->Checkpoint();
-  parked->termination_round = tenant->scheme.collector->termination_round();
-  // Release the live objects only after the checkpoint is safely captured;
-  // the session borrows the model, reference and strategies, so it goes
-  // first. The model stays, calibrated, with its per-round buffers freed.
-  tenant->session.reset();
-  tenant->reference.reset();
-  tenant->scheme = SchemeInstance{};
-  tenant->model->ReleaseRoundBuffers();
-  tenant->hibernated = std::move(parked);
-  return Status::OK();
+  // Park refuses an un-bootstrapped session.
+  return tenant->session->Park(&tenant->hibernated->checkpoint);
 }
 
 Status RehydrateTenant(Tenant* tenant) {
+  if (tenant->session == nullptr || tenant->hibernated == nullptr) {
+    return Status::FailedPrecondition("tenant was never materialized");
+  }
   if (tenant->resident()) {
     return Status::FailedPrecondition("tenant is already resident");
   }
-  if (tenant->hibernated == nullptr || tenant->model == nullptr) {
-    return Status::FailedPrecondition(
-        "tenant was never materialized/hibernated");
-  }
-  // Assemble the session around the kept model on the side, so a failed
-  // restore leaves this tenant parked and intact. The effective config
-  // carries the derived seed the tenant was calibrated under, so the
-  // restore reuses the model's calibration instead of re-running the
-  // bootstrap.
-  SessionParts parts =
-      AssembleSession(tenant->spec, tenant->config, tenant->model.get());
-  ITRIM_RETURN_NOT_OK(parts.session->Restore(tenant->hibernated->checkpoint));
-  // The fresh session starts with no sinks attached; carry the tenant's.
-  parts.session->set_observability(tenant->obs);
-  InstallSession(tenant, std::move(parts));
-  tenant->hibernated.reset();
-  return Status::OK();
+  return tenant->session->Unpark(&tenant->hibernated->checkpoint);
 }
 
 }  // namespace itrim

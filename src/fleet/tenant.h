@@ -92,29 +92,29 @@ struct TenantSpec {
   Status Validate() const;
 };
 
-/// \brief Parked stream state of a hibernated tenant: the session
-/// checkpoint (board values + round records + RNG) plus the one summary
-/// field the checkpoint cannot reconstruct without the live collector.
-/// The calibrated score model is not in here: it stays on the Tenant
-/// (`Tenant::model`) across hibernation. Strategies, the trim reference,
-/// the session and the board's order-statistic index are rebuilt on
-/// rehydration.
+/// \brief Parked stream state of a hibernated tenant: the session's
+/// moved-out stream state (TrimmingSession::Park — board values, round
+/// records, counters and RNG states). This is the one place a parked
+/// tenant's stream state lives. The slot is allocated once at
+/// materialization and reused by every cycle; while the tenant is resident
+/// its vectors are empty (moved back into the session).
 struct TenantHibernation {
   SessionCheckpoint checkpoint;
-  int termination_round = 0;
 };
 
-/// \brief A materialized tenant: owned strategies, score model and session.
+/// \brief A materialized tenant: owned strategies, score model, reference
+/// and session, plus the parking slot for its stream state.
 ///
 /// Movable, not copyable. The session borrows the other members, which are
 /// heap-owned, so moving a Tenant keeps every borrowed pointer valid.
 ///
-/// A tenant is either *resident* (session/strategies live, `hibernated`
-/// null) or *hibernated* (session, strategies and reference released,
-/// stream state parked in `hibernated`); HibernateTenant/RehydrateTenant
-/// flip between the two. The score model lives in both states: a parked
-/// tenant keeps its calibration (with the per-round buffers freed), so
-/// rehydration does not re-run the bootstrap.
+/// A tenant is either *resident* (its session steppable) or *hibernated*
+/// (its stream state parked in `hibernated`, its round-sized buffers
+/// freed); HibernateTenant/RehydrateTenant flip between the two. Every
+/// object lives in both states: the session with its board index and
+/// attached observability sinks, the strategies, the reference and the
+/// calibrated score model. Parking therefore replays nothing and rebuilds
+/// nothing.
 struct Tenant {
   TenantSpec spec;             ///< the spec this tenant was built from
   GameConfig config;           ///< effective config (derived seed applied)
@@ -124,13 +124,11 @@ struct Tenant {
   /// back to the shared stateless default).
   std::unique_ptr<ReferencePolicy> reference;
   std::unique_ptr<TrimmingSession> session;
+  /// Parking slot (see TenantHibernation); non-null from materialization.
   std::unique_ptr<TenantHibernation> hibernated;
-  /// Borrowed observability sinks (src/obs/). Persisted here — not in the
-  /// session — so hibernation keeps them and RehydrateTenant re-attaches
-  /// them to the rebuilt session.
-  SessionObs obs;
 
-  bool resident() const { return session != nullptr; }
+  /// \brief True for a materialized tenant whose session is not parked.
+  bool resident() const { return session != nullptr && !session->parked(); }
 };
 
 /// \brief Deterministic per-tenant seed stream: a pure function of the
@@ -138,34 +136,36 @@ struct Tenant {
 /// count never influence any tenant's randomness.
 uint64_t DeriveTenantSeed(uint64_t fleet_seed, size_t tenant_index);
 
-/// \brief Builds the tenant's strategies, score model and (un-bootstrapped)
-/// session from a validated spec. `seed` becomes the session seed;
-/// Groundtruth tenants run with attack_ratio forced to 0 (the clean
-/// reference, as in the experiment runners). LDP tenants run without an
-/// AdversaryStrategy (their attack materializes poison itself) and with
-/// board-reference trimming semantics.
+/// \brief Builds the tenant's strategies, score model, reference,
+/// (un-bootstrapped) session and parking slot from a validated spec.
+/// `seed` becomes the session seed; Groundtruth tenants run with
+/// attack_ratio forced to 0 (the clean reference, as in the experiment
+/// runners). LDP tenants run without an AdversaryStrategy (their attack
+/// materializes poison itself) and with board-reference trimming
+/// semantics.
 Result<Tenant> MaterializeTenant(const TenantSpec& spec, uint64_t seed);
 
-/// \brief Evicts a quiet tenant to its compact checkpoint: captures the
-/// session state, then releases the session, the trim reference and the
-/// strategies. The score model is kept with its calibration; its per-round
-/// buffers and retained store are freed (ScoreModel::ReleaseRoundBuffers).
-/// Requires a resident, bootstrapped tenant. The tenant's spec and
-/// effective config stay behind, so rehydration needs no external input.
+/// \brief Parks a quiet tenant in place: moves its session's stream state
+/// into `hibernated` (TrimmingSession::Park) and frees its round-sized
+/// buffers. The session, strategies, reference, board index and the model's
+/// calibration stay. Requires a resident, bootstrapped tenant. Allocates
+/// nothing.
 Status HibernateTenant(Tenant* tenant);
 
-/// \brief Rebuilds a hibernated tenant's strategies, reference and session
-/// around its kept model and restores the parked checkpoint. The restore
-/// reuses the model's calibration (TrimmingSession::Restore), so it costs
-/// about a round, not a bootstrap. The subsequent stream is bit-identical
-/// to never having hibernated (the session checkpoint/restore contract).
-/// On error the tenant is left untouched (still hibernated, model kept).
+/// \brief Moves a hibernated tenant's parked stream state back into its
+/// kept session (TrimmingSession::Unpark): no strategy replay, no board
+/// rebuild, no allocation. The subsequent stream is bit-identical to never
+/// having hibernated. On error (a parked board or round book that does not
+/// match the kept session) the tenant is left untouched and still
+/// hibernated.
 Status RehydrateTenant(Tenant* tenant);
 
-/// \brief Bytes a tenant holds while parked: the checkpoint (records and
-/// board values, by capacity) plus the kept score model
-/// (ScoreModel::FootprintBytes). Borrowed data sources are not counted.
-/// For a resident tenant it counts the model alone.
+/// \brief Bytes a tenant holds in its current state: the session (object,
+/// board values and index, round book, round scratch), the strategies, the
+/// owned reference, the score model (ScoreModel::FootprintBytes) and the
+/// parking slot with what it holds. Borrowed data sources are not counted.
+/// Parking frees only round-sized buffers, so a parked tenant counts less
+/// than the same tenant resident.
 size_t ParkedBytes(const Tenant& tenant);
 
 }  // namespace itrim

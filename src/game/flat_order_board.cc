@@ -189,6 +189,13 @@ void FlatOrderBoard::Clear() {
   total_ = 0;
 }
 
+size_t FlatOrderBoard::HeapBytes() const {
+  return pool_.capacity() * sizeof(Leaf) + free_.capacity() * sizeof(uint32_t) +
+         order_.capacity() * sizeof(uint32_t) +
+         max_key_.capacity() * sizeof(double) +
+         fenwick_.capacity() * sizeof(uint32_t);
+}
+
 void FlatOrderBoard::FenwickRebuild() {
   const size_t m = LeafCount();
   fenwick_.assign(m + 1, 0);

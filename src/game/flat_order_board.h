@@ -62,6 +62,10 @@ class FlatOrderBoard {
   /// \brief Number of values currently held.
   size_t size() const { return total_; }
 
+  /// \brief Heap bytes the index holds (leaf pool and index arrays, by
+  /// capacity).
+  size_t HeapBytes() const;
+
   /// \brief k-th smallest value, 0-based. Requires k < size().
   double Kth(size_t k) const;
 

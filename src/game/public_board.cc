@@ -1,6 +1,7 @@
 #include "game/public_board.h"
 
 #include <string>
+#include <utility>
 
 namespace itrim {
 
@@ -50,7 +51,7 @@ PublicBoard::Snapshot PublicBoard::Save() const {
   return Snapshot{values_, total_recorded_, rng_.Save()};
 }
 
-Status PublicBoard::Restore(const Snapshot& snapshot) {
+Status PublicBoard::CheckCapacity(const Snapshot& snapshot) const {
   if (capacity_ > 0 && snapshot.values.size() > capacity_) {
     return Status::InvalidArgument(
         "board snapshot holds " + std::to_string(snapshot.values.size()) +
@@ -58,12 +59,42 @@ Status PublicBoard::Restore(const Snapshot& snapshot) {
         std::to_string(capacity_) +
         " — restore into a board of the source's capacity");
   }
+  return Status::OK();
+}
+
+Status PublicBoard::Restore(const Snapshot& snapshot) {
+  ITRIM_RETURN_NOT_OK(CheckCapacity(snapshot));
   values_ = snapshot.values;
   total_recorded_ = snapshot.total_recorded;
   rng_.Restore(snapshot.rng);
   flat_.Clear();
   for (double v : values_) flat_.Insert(v);
   return Status::OK();
+}
+
+void PublicBoard::Park(Snapshot* out) {
+  out->values = std::move(values_);
+  values_.clear();
+  out->total_recorded = total_recorded_;
+  out->rng = rng_.Save();
+}
+
+Status PublicBoard::Unpark(Snapshot* parked) {
+  ITRIM_RETURN_NOT_OK(CheckCapacity(*parked));
+  if (parked->values.size() != flat_.size()) {
+    return Status::InvalidArgument(
+        "parked board holds " + std::to_string(parked->values.size()) +
+        " values but its kept index holds " + std::to_string(flat_.size()));
+  }
+  values_ = std::move(parked->values);
+  parked->values.clear();
+  total_recorded_ = parked->total_recorded;
+  rng_.Restore(parked->rng);
+  return Status::OK();
+}
+
+size_t PublicBoard::HeapBytes() const {
+  return values_.capacity() * sizeof(double) + flat_.HeapBytes();
 }
 
 }  // namespace itrim

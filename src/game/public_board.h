@@ -15,7 +15,9 @@
 // Storage is sized to what the board holds, not to its capacity — nothing
 // is reserved up front; the values and the index grow while the bootstrap
 // records and then stay put. A session checkpoint carries the values only;
-// Restore() rebuilds the index by re-inserting them in slot order.
+// Restore() rebuilds the index by re-inserting them in slot order. A parked
+// session (TrimmingSession::Park) moves the values out and keeps the index,
+// so Unpark() moves them back without rebuilding anything.
 //
 // Order statistics are served by a FlatOrderBoard (sorted 64-double leaves
 // over a Fenwick-counted flat index, cache-local): O(log n) per operation
@@ -88,7 +90,24 @@ class PublicBoard {
   /// configured source board.
   Status Restore(const Snapshot& snapshot);
 
+  /// \brief Moves the held values (not a copy), the record count and the
+  /// RNG state into `out`. The order-statistic index stays, so the board
+  /// answers no value queries until Unpark() moves the values back.
+  void Park(Snapshot* out);
+
+  /// \brief Moves parked values back from `parked`. Errors (moving
+  /// nothing) unless the values fit the capacity and their count equals
+  /// what the kept index holds.
+  Status Unpark(Snapshot* parked);
+
+  /// \brief Heap bytes the board holds: its values and its index, by
+  /// capacity.
+  size_t HeapBytes() const;
+
  private:
+  /// Refuses a snapshot holding more values than the configured capacity.
+  Status CheckCapacity(const Snapshot& snapshot) const;
+
   size_t capacity_;
   size_t total_recorded_ = 0;
   Rng rng_;

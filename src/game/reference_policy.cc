@@ -44,6 +44,21 @@ Status FittedModelReference::Validate(const ScoreModel& model) const {
   return Status::OK();
 }
 
+void FittedModelReference::ReleaseRoundScratch() {
+  std::vector<double>().swap(resid_);
+  std::vector<double>().swap(prev_resid_);
+  std::vector<size_t>().swap(order_);
+  orderer_.Release();
+}
+
+size_t FittedModelReference::FootprintBytes() const {
+  return sizeof(*this) + regressor_.HeapBytes() +
+         fit_.weights.capacity() * sizeof(double) +
+         resid_.capacity() * sizeof(double) +
+         prev_resid_.capacity() * sizeof(double) +
+         order_.capacity() * sizeof(size_t) + orderer_.HeapBytes();
+}
+
 Status FittedModelReference::TrimRound(double percentile, ScoreModel* model,
                                        const PublicBoard& /*board*/,
                                        TrimOutcome* out) {

@@ -53,6 +53,15 @@ class ReferencePolicy {
   /// policies that never refit). Telemetry only — the observability layer
   /// records it per round; it never feeds back into the game.
   virtual int last_refit_iterations() const { return 0; }
+
+  /// \brief Frees round-sized scratch (a parked session calls this); the
+  /// next TrimRound re-grows it. Policies without such scratch keep the
+  /// default no-op.
+  virtual void ReleaseRoundScratch() {}
+
+  /// \brief Bytes this policy holds: the object plus its scratch, by
+  /// capacity.
+  virtual size_t FootprintBytes() const = 0;
 };
 
 /// \brief The paper's percentile reference: delegates to the model's
@@ -64,6 +73,7 @@ class PercentileReference : public ReferencePolicy {
   std::string name() const override { return "percentile"; }
   Status TrimRound(double percentile, ScoreModel* model,
                    const PublicBoard& board, TrimOutcome* out) override;
+  size_t FootprintBytes() const override { return sizeof(*this); }
 };
 
 /// \brief Shared stateless PercentileReference instance; the session
@@ -106,6 +116,10 @@ class FittedModelReference : public ReferencePolicy {
   Status TrimRound(double percentile, ScoreModel* model,
                    const PublicBoard& board, TrimOutcome* out) override;
   int last_refit_iterations() const override { return last_refit_iters_; }
+  /// Frees the residual and ordering scratch; the regressor's
+  /// (dims+1)-sized scratch and the last fit stay.
+  void ReleaseRoundScratch() override;
+  size_t FootprintBytes() const override;
 
   const Options& options() const { return options_; }
 

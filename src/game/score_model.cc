@@ -355,8 +355,9 @@ void DistanceScoreModel::Commit(std::span<const char> keep) {
 }
 
 void DistanceScoreModel::ReleaseRoundBuffers() {
-  // Kept: the geometry, the source-score cache and the poison scratch row
-  // (one row, sized by BeginRun()).
+  // Kept: the geometry, the source-score cache, the poison scratch row
+  // (one row, sized by BeginRun()) and the retained store's name and
+  // shape.
   FreeVector(&direction_);
   FreeVector(&row_data_);
   rows_used_ = 0;
@@ -364,7 +365,8 @@ void DistanceScoreModel::ReleaseRoundBuffers() {
   FreeVector(&labels_);
   FreeVector(&scores_);
   FreeVector(&is_poison_);
-  retained_ = Dataset{};
+  FreeVector(&retained_.rows);
+  FreeVector(&retained_.labels);
   FreeVector(&retained_is_poison_);
 }
 

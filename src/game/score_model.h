@@ -207,10 +207,12 @@ class ScoreModel {
   void set_retain_survivors(bool retain) { retain_survivors_ = retain; }
   bool retain_survivors() const { return retain_survivors_; }
 
-  /// \brief Frees the per-round buffers and the retained store while
-  /// keeping the calibration (geometry, cached source scores). A parked
-  /// tenant calls this so its kept model holds only what a restore reuses;
-  /// the next BeginRun()/BeginRound() re-grows what it needs.
+  /// \brief Frees the per-round buffers and empties the retained store
+  /// while keeping the calibration (geometry, cached source scores). A
+  /// parked session calls this (TrimmingSession::Park); the next
+  /// BeginRound() re-grows what it needs. The retained store keeps its
+  /// name and shape, so survivors accumulate again from the next round on
+  /// with no BeginRun().
   virtual void ReleaseRoundBuffers() = 0;
 
   /// \brief Bytes this model holds: the object itself plus the capacity of
@@ -218,8 +220,7 @@ class ScoreModel {
   virtual size_t FootprintBytes() const = 0;
 
   /// \brief Number of times a TrimmingSession calibrated this model (a
-  /// successful session Bootstrap()). A restore that reuses the
-  /// calibration does not count.
+  /// successful session Bootstrap(), including the one inside Restore()).
   uint64_t calibrations() const { return calibrations_; }
 
  protected:
@@ -247,16 +248,8 @@ class ScoreModel {
   bool retain_survivors_ = true;
 
  private:
-  // Calibration identity, written only by TrimmingSession: Bootstrap()
-  // clears it before touching the model and sets it on success; Restore()
-  // reuses the model's geometry when it matches the session's seed and
-  // bootstrap size (the calibration is a pure function of those and the
-  // model's borrowed source). Calling BeginRun()/Bootstrap() on the model
-  // directly bypasses the stamp, so do not mix that with session restores.
+  // Counted by TrimmingSession::Bootstrap() on success.
   friend class TrimmingSession;
-  bool calibrated_ = false;
-  uint64_t calibrated_seed_ = 0;
-  size_t calibrated_bootstrap_size_ = 0;
   uint64_t calibrations_ = 0;
 };
 

@@ -3,6 +3,8 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <string>
+#include <utility>
 
 #include "common/math_util.h"
 #include "game/reference_policy.h"
@@ -169,10 +171,8 @@ Status TrimmingSession::Bootstrap() {
   // A failed (re-)bootstrap must leave the session un-steppable, not
   // half-reset over the previous run's state.
   bootstrapped_ = false;
+  parked_ = false;
   ITRIM_RETURN_NOT_OK(CheckPlayable());
-  // From here on the model's geometry is being rebuilt: until this
-  // bootstrap succeeds it matches no calibration identity.
-  model_->calibrated_ = false;
   ITRIM_RETURN_NOT_OK(model_->BeginRun());
   rng_ = Rng(config_.seed);
   board_.Clear();
@@ -184,9 +184,6 @@ Status TrimmingSession::Bootstrap() {
   // domain stable, while all adaptivity lives in the strategies.
   ITRIM_RETURN_NOT_OK(model_->Bootstrap(config_.bootstrap_size, &rng_,
                                         &board_));
-  model_->calibrated_ = true;
-  model_->calibrated_seed_ = config_.seed;
-  model_->calibrated_bootstrap_size_ = config_.bootstrap_size;
   ++model_->calibrations_;
   ResetStream();
   bootstrapped_ = true;
@@ -195,7 +192,9 @@ Status TrimmingSession::Bootstrap() {
 
 Result<RoundRecord> TrimmingSession::Step() {
   if (!bootstrapped_) {
-    return Status::FailedPrecondition("session is not bootstrapped");
+    return Status::FailedPrecondition(parked_
+                                          ? "session is parked; unpark first"
+                                          : "session is not bootstrapped");
   }
   const int round = next_round_;
   if (obs_.trace != nullptr) {
@@ -366,25 +365,10 @@ Status TrimmingSession::Restore(const SessionCheckpoint& checkpoint) {
   // The model's calibration (PositionMap geometry, cached source scores,
   // the reference fit) is a pure function of the seed, the bootstrap size
   // and the model's source: the bootstrap is the first consumer of a fresh
-  // Rng(config.seed). A model a session already calibrated under the same
-  // identity is reused as is; otherwise the bootstrap re-runs to rebuild
-  // it from the same round-0 draws. Either way the checkpoint then
-  // overwrites the stream state (RNG, board, records).
-  const bool warm = model_->calibrated_ &&
-                    model_->calibrated_seed_ == config_.seed &&
-                    model_->calibrated_bootstrap_size_ ==
-                        config_.bootstrap_size;
-  bootstrapped_ = false;
-  if (warm) {
-    ITRIM_RETURN_NOT_OK(CheckPlayable());
-    // BeginRun() validates the source and clears the retained store (a
-    // restored session accumulates survivors from the restore point on);
-    // it leaves the calibration alone.
-    ITRIM_RETURN_NOT_OK(model_->BeginRun());
-    ResetStream();
-  } else {
-    ITRIM_RETURN_NOT_OK(Bootstrap());
-  }
+  // Rng(config.seed), so re-running it rebuilds the calibration from the
+  // same round-0 draws. The checkpoint then overwrites the stream state
+  // (RNG, board, records).
+  ITRIM_RETURN_NOT_OK(Bootstrap());
   // Not steppable until the checkpoint is fully applied.
   bootstrapped_ = false;
   rng_.Restore(checkpoint.rng);
@@ -403,6 +387,63 @@ Status TrimmingSession::Restore(const SessionCheckpoint& checkpoint) {
   next_round_ = checkpoint.next_round;
   bootstrapped_ = true;
   return Status::OK();
+}
+
+Status TrimmingSession::Park(SessionCheckpoint* out) {
+  if (!bootstrapped_) {
+    return Status::FailedPrecondition(
+        parked_ ? "session is already parked"
+                : "cannot park an un-bootstrapped session");
+  }
+  out->next_round = next_round_;
+  out->poison_quota = poison_quota_;
+  out->have_prev = have_prev_;
+  out->prev = prev_;
+  out->records = std::move(records_);
+  records_.clear();
+  out->rng = rng_.Save();
+  board_.Park(&out->board);
+  // Round-sized scratch goes; the next Step() re-grows it.
+  std::vector<char>().swap(trim_scratch_.keep);
+  std::vector<size_t>().swap(trim_idx_scratch_);
+  std::vector<double>().swap(poison_pos_scratch_);
+  reference_->ReleaseRoundScratch();
+  model_->ReleaseRoundBuffers();
+  bootstrapped_ = false;
+  parked_ = true;
+  return Status::OK();
+}
+
+Status TrimmingSession::Unpark(SessionCheckpoint* parked) {
+  if (!parked_) return Status::FailedPrecondition("session is not parked");
+  if (parked->next_round < 1 ||
+      parked->records.size() !=
+          static_cast<size_t>(parked->next_round - 1)) {
+    return Status::InvalidArgument(
+        "parked round book holds " + std::to_string(parked->records.size()) +
+        " records at round " + std::to_string(parked->next_round));
+  }
+  // The board checks its side before moving anything; after it succeeds
+  // nothing below can fail.
+  ITRIM_RETURN_NOT_OK(board_.Unpark(&parked->board));
+  records_ = std::move(parked->records);
+  parked->records.clear();
+  rng_.Restore(parked->rng);
+  prev_ = parked->prev;
+  have_prev_ = parked->have_prev;
+  poison_quota_ = parked->poison_quota;
+  next_round_ = parked->next_round;
+  parked_ = false;
+  bootstrapped_ = true;
+  return Status::OK();
+}
+
+size_t TrimmingSession::FootprintBytes() const {
+  return sizeof(*this) + board_.HeapBytes() +
+         records_.capacity() * sizeof(RoundRecord) +
+         trim_scratch_.keep.capacity() +
+         trim_idx_scratch_.capacity() * sizeof(size_t) +
+         poison_pos_scratch_.capacity() * sizeof(double);
 }
 
 }  // namespace itrim

@@ -20,15 +20,22 @@
 // Sessions are checkpointable: Checkpoint() captures the full interaction
 // state (round counter, poison quota, RNG, board, per-round records) and
 // Restore() resumes a fresh session of the same configuration from it,
-// continuing the stream bit-identically. Strategy state is reconstructed by
-// replaying the recorded observations, which is exact for every strategy
+// continuing the stream bit-identically. Restore reconstructs strategy state
+// by replaying the recorded observations, which is exact for every strategy
 // whose state is a function of its observation history (all the paper's
 // strategies). Two components sit outside the checkpoint and would need
-// their own state carried across for exact resume: a strategy drawing
+// their own state carried across for an exact restore: a strategy drawing
 // private randomness inside Observe() (GenerousTitfortatCollector) and a
 // quality evaluator with internal state (NoisyDefectShareQuality's
 // estimation-noise Rng advances per Evaluate() call) — with those, a
 // restored stream is statistically equivalent but not bit-identical.
+//
+// A live session can instead be parked in place (Park/Unpark — the fleet's
+// hibernation): its round book and the board's values move out into a
+// SessionCheckpoint, its round-sized scratch is freed, and the strategies,
+// the quality evaluator, the reference, the model's calibration and the
+// board's order index stay as they are. Nothing is replayed on Unpark, so
+// parking is exact for every strategy, those two included.
 #ifndef ITRIM_GAME_SESSION_H_
 #define ITRIM_GAME_SESSION_H_
 
@@ -170,22 +177,46 @@ class TrimmingSession {
   /// \brief Resumes from a checkpoint of an identically configured
   /// session; subsequent Steps are bit-identical to the original stream.
   ///
-  /// The model's calibration is reused when a session Bootstrap() last
-  /// calibrated it successfully under this session's `seed` and
-  /// `bootstrap_size` (the identity is recorded on the model, see
-  /// ScoreModel::calibrations()): only the model's BeginRun() runs, and the
-  /// round-0 board seeding is skipped because the checkpoint's board
-  /// replaces it. Any other model (fresh, or calibrated under another
-  /// identity) is bootstrapped first, exactly as Bootstrap() does. Either
-  /// way the model's retained sink starts empty: a restored session
+  /// The model is bootstrapped first, exactly as Bootstrap() does (the
+  /// calibration is a pure function of the seed, the bootstrap size and
+  /// the model's source), and the checkpoint then replaces the stream
+  /// state; strategy state is rebuilt by replaying the checkpoint's
+  /// records. The model's retained sink starts empty: a restored session
   /// accumulates survivors from the restore point on. On error the session
   /// is left un-bootstrapped (not steppable).
   Status Restore(const SessionCheckpoint& checkpoint);
 
+  /// \brief Parks the session in place: moves (does not copy) the round
+  /// book and the board's values into `out`, together with the counters,
+  /// the previous observation and the session and board RNG states, and
+  /// frees the round-sized scratch (trim buffers, the reference's refit
+  /// scratch, ScoreModel::ReleaseRoundBuffers). The strategies, the
+  /// reference, the model's calibration and the board's order index are
+  /// left untouched. Requires a bootstrapped, unparked session; a parked
+  /// session is not steppable until Unpark(). Allocates nothing.
+  Status Park(SessionCheckpoint* out);
+
+  /// \brief Moves the stream state parked in `parked` back, with no
+  /// strategy replay and no board rebuild; the stream continues
+  /// bit-identically to never having parked. Checks first that the board
+  /// values fit the capacity and match the kept index's count and that the
+  /// book holds next_round - 1 records; on a mismatch returns
+  /// InvalidArgument and moves nothing (the session stays parked).
+  /// Allocates nothing.
+  Status Unpark(SessionCheckpoint* parked);
+
+  /// \brief True between a successful Park() and Unpark().
+  bool parked() const { return parked_; }
+
+  /// \brief Bytes this session holds: the object, its board (values and
+  /// index), its round book and its round scratch, by capacity. The
+  /// borrowed model, strategies and reference are not counted.
+  size_t FootprintBytes() const;
+
   /// \brief Attaches (or detaches, with default-constructed sinks)
-  /// observability. Takes effect from the next Step(); checkpoint/restore
-  /// does not carry sinks — owners re-attach after Restore() (the ingest
-  /// layer does this on rehydration).
+  /// observability. Takes effect from the next Step(); sinks survive
+  /// Park/Unpark, but checkpoint/restore does not carry them — owners
+  /// re-attach after Restore() on a fresh session.
   void set_observability(const SessionObs& sinks) { obs_ = sinks; }
   const SessionObs& observability() const { return obs_; }
 
@@ -220,6 +251,7 @@ class TrimmingSession {
   double poison_quota_ = 0.0;
   int next_round_ = 1;
   bool bootstrapped_ = false;
+  bool parked_ = false;
   SessionObs obs_;
   std::vector<RoundRecord> records_;
   // Round-loop scratch, reused across Step() calls so the steady state

@@ -168,7 +168,8 @@ Status IngestService::Start() {
     }
   }
   // Deep telemetry: every session reports into its home shard's slot and
-  // trace ring (persisted on the Tenant, so hibernation keeps the sinks).
+  // trace ring (the session is kept while parked, so hibernation keeps
+  // the sinks).
   if (config_.observe_rounds) {
     for (const auto& shard : shards_) {
       for (uint64_t id : shard->owned) {
@@ -330,7 +331,8 @@ void IngestService::EnforceResidency(Shard& shard) {
                     candidates.end());
   for (size_t k = 0; k < excess; ++k) {
     const uint64_t victim = candidates[k].second;
-    // Rounds-at-park, read before the session is released.
+    // Rounds-at-park, read before the stream state moves into the parking
+    // slot.
     const int parked_rounds =
         fleet_->tenant(static_cast<size_t>(victim)).session->next_round() - 1;
     Status status = fleet_->HibernateTenant(static_cast<size_t>(victim));

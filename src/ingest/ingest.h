@@ -12,8 +12,8 @@
 // `round_size` reports admitted, so its round records are a pure function
 // of its own admitted arrival sequence — bit-identical to driving that
 // session alone, regardless of shard count, cross-tenant interleaving,
-// queue batching, or hibernation cycles in between (session
-// checkpoint/restore is bit-exact). The only nondeterministic inputs —
+// queue batching, or hibernation cycles in between (a tenant parks in
+// place and resumes bit-exactly). The only nondeterministic inputs —
 // wall-clock token-bucket refill and load-shedding TrySubmit — act
 // *before* admission and only change which reports are admitted, never
 // how admitted reports are played.
@@ -78,7 +78,9 @@ struct IngestConfig {
   double rate_limit_burst = 0.0;
   /// Max resident (non-hibernated) tenants per shard; when a shard's
   /// active-tenant count exceeds this, the least-recently-active tenants
-  /// are hibernated to their compact checkpoints. 0 = unbounded.
+  /// are hibernated: parked in place, their stream state moved aside and
+  /// their round-sized buffers freed (their session, strategies and
+  /// calibrated model stay; see itrim::HibernateTenant). 0 = unbounded.
   size_t max_resident_per_shard = 0;
 
   // -- Observability (src/obs/) --------------------------------------------
@@ -95,9 +97,9 @@ struct IngestConfig {
   /// counters and trace events land on the owning shard's slot/ring) and
   /// turns on the clock-reading histograms (submit latency, per-round
   /// wall time). Off by default — the always-on counters never read a
-  /// clock per event or per round. Rehydrations are rare and cost a
-  /// restore, so the `fleet_rehydrate_us` histogram times every one of
-  /// them either way.
+  /// clock per event or per round. Rehydrations are rare next to rounds,
+  /// so the `fleet_rehydrate_us` histogram times every one of them either
+  /// way.
   bool observe_rounds = false;
 
   Status Validate() const;

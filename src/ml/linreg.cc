@@ -164,6 +164,12 @@ Status LinearRegressor::FitClosedFormRows(std::span<const double> rows,
   return Solve(dims, out);
 }
 
+size_t LinearRegressor::HeapBytes() const {
+  return (normal_.capacity() + rhs_.capacity() + gradient_.capacity()) *
+             sizeof(double) +
+         perm_.capacity() * sizeof(size_t);
+}
+
 Status LinearRegressor::Solve(size_t dims, LinearModel* out) {
   const size_t aug = dims + 1;
   // Mirror the upper triangle (the accumulation filled i <= j).
@@ -215,6 +221,17 @@ Status LinearRegressor::Solve(size_t dims, LinearModel* out) {
   std::copy(solution, solution + dims, out->weights.begin());
   out->bias = solution[dims];
   return Status::OK();
+}
+
+void ResidualOrder::Release() {
+  std::vector<uint64_t>().swap(bits_);
+  std::vector<uint64_t>().swap(bits_alt_);
+  std::vector<size_t>().swap(index_alt_);
+}
+
+size_t ResidualOrder::HeapBytes() const {
+  return (bits_.capacity() + bits_alt_.capacity()) * sizeof(uint64_t) +
+         index_alt_.capacity() * sizeof(size_t);
 }
 
 void ResidualOrder::Sort(std::span<const double> keys,

@@ -86,6 +86,9 @@ class LinearRegressor {
                          const SgdOptions& options, Rng* rng,
                          LinearModel* out);
 
+  /// \brief Heap bytes of the fit scratch, by capacity.
+  size_t HeapBytes() const;
+
  private:
   /// Mirrors the accumulated upper triangle of normal_ and solves the
   /// (dims+1)-square system into `out`; shared by both closed-form fits.
@@ -114,6 +117,13 @@ class ResidualOrder {
   /// \brief Overwrites `order` with the permutation of [0, keys.size())
   /// that sorts `keys`.
   void Sort(std::span<const double> keys, std::vector<size_t>* order);
+
+  /// \brief Returns the scratch to the allocator; the next Sort re-grows
+  /// it.
+  void Release();
+
+  /// \brief Heap bytes of the scratch, by capacity.
+  size_t HeapBytes() const;
 
  private:
   std::vector<uint64_t> bits_;      ///< keys as ordered bit patterns

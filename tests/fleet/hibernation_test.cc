@@ -1,12 +1,14 @@
-// Tenant hibernation/rehydration bit-identity: evicting a session to its
-// compact checkpoint and rebuilding it later must not perturb the stream.
+// Tenant hibernation/rehydration bit-identity: parking a tenant's stream
+// state in place and moving it back later must not perturb the stream.
 // Covered per model kind (scalar / distance / LDP / residual), mid-stream at
 // every round boundary, and across repeated hibernate-rehydrate cycles. The
-// kept score model is checked too: it survives parking without being
-// calibrated again, a failed rehydration keeps it, and the warm
-// rehydration equals a cold materialize-and-restore. A cycle's heap traffic
-// is bounded by what the tenant holds, not by its board capacity (counted
-// with the allocator from bench/alloc_counter.h).
+// kept objects are checked too: the same session, reference and calibrated
+// model come back, a refused rehydration (tampered board or round book)
+// leaves the tenant parked, the warm rehydration equals a cold
+// materialize-and-restore, and a retaining tenant refills its survivor
+// store from the rehydration point on. A cycle allocates nothing (counted
+// with the allocator from bench/alloc_counter.h), and a parked tenant holds
+// less than a resident one.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -21,7 +23,9 @@
 #include "game/score_model.h"
 #include "ldp/attacks.h"
 #include "ldp/mechanism.h"
+#include "ldp/report_score_model.h"
 #include "ml/linreg.h"
+#include "ml/residual_score_model.h"
 
 #include "game/summary_test_util.h"
 
@@ -31,6 +35,17 @@ namespace {
 constexpr TenantModelKind kAllKinds[] = {
     TenantModelKind::kScalar, TenantModelKind::kDistance,
     TenantModelKind::kLdp, TenantModelKind::kResidual};
+
+// The churn shape (a 40-value board under a 512 cap) and the paper's game
+// shape (500 values under a 20000 cap).
+struct Shape {
+  const char* name;
+  size_t round_size;
+  size_t bootstrap_size;
+  size_t board_capacity;
+};
+constexpr Shape kShapes[] = {{"churn", 30, 40, 512},
+                             {"bulk", 500, 500, 20000}};
 
 void ExpectRecordsBitIdentical(const std::vector<RoundRecord>& a,
                                const std::vector<RoundRecord>& b) {
@@ -137,8 +152,8 @@ TEST_F(HibernationTest, MidStreamHibernationIsBitIdenticalEverywhere) {
   }
 }
 
-// Hibernation parks the stream state but keeps the calibrated score model:
-// the same model object comes back on rehydration, it is not calibrated a
+// Hibernation parks the stream state in place: the same session, reference
+// and model objects come back on rehydration, the model is not calibrated a
 // second time, and its per-round buffers are freed while parked.
 TEST_F(HibernationTest, KeptModelSurvivesCyclesWithoutRecalibration) {
   for (TenantModelKind model : kAllKinds) {
@@ -147,7 +162,12 @@ TEST_F(HibernationTest, KeptModelSurvivesCyclesWithoutRecalibration) {
     SessionFleet fleet = MakeFleet(spec);
     for (int r = 0; r < 3; ++r) ASSERT_TRUE(fleet.StepTenant(0).ok());
     const ScoreModel* kept = fleet.tenant(0).model.get();
+    const TrimmingSession* session = fleet.tenant(0).session.get();
+    const ReferencePolicy* reference = fleet.tenant(0).reference.get();
     ASSERT_NE(kept, nullptr);
+    ASSERT_NE(session, nullptr);
+    EXPECT_EQ(reference != nullptr,
+              spec.reference == TenantReferenceKind::kFittedModel);
     EXPECT_EQ(kept->calibrations(), 1u);
     const size_t resident_footprint = kept->FootprintBytes();
 
@@ -155,18 +175,22 @@ TEST_F(HibernationTest, KeptModelSurvivesCyclesWithoutRecalibration) {
       ASSERT_TRUE(fleet.HibernateTenant(0).ok());
       const Tenant& parked = fleet.tenant(0);
       EXPECT_EQ(parked.model.get(), kept);
-      EXPECT_EQ(parked.session, nullptr);
-      EXPECT_EQ(parked.reference, nullptr);
+      EXPECT_EQ(parked.session.get(), session);
+      EXPECT_EQ(parked.reference.get(), reference);
+      EXPECT_TRUE(session->parked());
       EXPECT_LT(kept->FootprintBytes(), resident_footprint);
+      const SessionCheckpoint& c = parked.hibernated->checkpoint;
       EXPECT_EQ(ParkedBytes(parked),
-                sizeof(TenantHibernation) +
-                    parked.hibernated->checkpoint.records.capacity() *
-                        sizeof(RoundRecord) +
-                    parked.hibernated->checkpoint.board.values.capacity() *
-                        sizeof(double) +
-                    kept->FootprintBytes());
+                parked.scheme.object_bytes + session->FootprintBytes() +
+                    (reference != nullptr ? reference->FootprintBytes() : 0) +
+                    kept->FootprintBytes() + sizeof(TenantHibernation) +
+                    c.records.capacity() * sizeof(RoundRecord) +
+                    c.board.values.capacity() * sizeof(double));
       ASSERT_TRUE(fleet.RehydrateTenant(0).ok());
       EXPECT_EQ(fleet.tenant(0).model.get(), kept);
+      EXPECT_EQ(fleet.tenant(0).session.get(), session);
+      EXPECT_EQ(fleet.tenant(0).reference.get(), reference);
+      EXPECT_FALSE(session->parked());
       EXPECT_EQ(kept->calibrations(), 1u);
       ASSERT_TRUE(fleet.StepTenant(0).ok());
     }
@@ -209,6 +233,64 @@ TEST_F(HibernationTest, FailedRehydrateKeepsTenantParkedWithItsModel) {
   }
 }
 
+// Rehydration checks the parked state against the kept session before it
+// moves anything back. A round book with a record too many or too few, a
+// next round that disagrees with the book, or a board holding another count
+// of values than the kept index is refused: the tenant stays parked with
+// its state in the slot, and the stream continues intact once the parked
+// state is put back.
+TEST_F(HibernationTest, TamperedParkedStateKeepsTenantParked) {
+  for (TenantModelKind model : kAllKinds) {
+    TenantSpec spec = SpecFor(model);
+    SCOPED_TRACE(spec.name);
+    Tenant tenant = MaterializeTenant(spec, 78).ValueOrDie();
+    Tenant expected = MaterializeTenant(spec, 78).ValueOrDie();
+    ASSERT_TRUE(tenant.session->Bootstrap().ok());
+    ASSERT_TRUE(expected.session->Bootstrap().ok());
+    for (int r = 0; r < 6; ++r) ASSERT_TRUE(expected.session->Step().ok());
+    for (int r = 0; r < 3; ++r) ASSERT_TRUE(tenant.session->Step().ok());
+    ASSERT_TRUE(HibernateTenant(&tenant).ok());
+    const TrimmingSession* session = tenant.session.get();
+
+    SessionCheckpoint& parked = tenant.hibernated->checkpoint;
+    ASSERT_EQ(parked.records.size(), 3u);
+    const std::vector<RoundRecord> book = parked.records;
+    const std::vector<double> board_values = parked.board.values;
+    auto expect_refused = [&] {
+      const size_t records = parked.records.size();
+      const size_t values = parked.board.values.size();
+      EXPECT_EQ(RehydrateTenant(&tenant).code(),
+                StatusCode::kInvalidArgument);
+      EXPECT_FALSE(tenant.resident());
+      EXPECT_TRUE(session->parked());
+      EXPECT_EQ(tenant.session.get(), session);
+      // Nothing moved: the parked state is still in the slot.
+      EXPECT_EQ(parked.records.size(), records);
+      EXPECT_EQ(parked.board.values.size(), values);
+      EXPECT_EQ(tenant.session->Step().status().code(),
+                StatusCode::kFailedPrecondition);
+    };
+
+    parked.records.push_back(book.back());
+    expect_refused();
+    parked.records.pop_back();
+    parked.records.pop_back();
+    expect_refused();
+    parked.records = book;
+    parked.next_round += 1;
+    expect_refused();
+    parked.next_round -= 1;
+    parked.board.values.pop_back();
+    expect_refused();
+    parked.board.values = board_values;
+
+    ASSERT_TRUE(RehydrateTenant(&tenant).ok());
+    for (int r = 3; r < 6; ++r) ASSERT_TRUE(tenant.session->Step().ok());
+    ExpectRecordsBitIdentical(expected.session->round_log(),
+                              tenant.session->round_log());
+  }
+}
+
 // The cold path — a freshly materialized tenant restoring the parked
 // checkpoint, which re-runs the bootstrap inside Restore() — and the warm
 // rehydration that reuses the kept calibration continue identically.
@@ -237,9 +319,9 @@ TEST_F(HibernationTest, ColdRestoreEqualsWarmRehydrate) {
   }
 }
 
-// The calibration is reused only under the identity it was built with: a
-// session restoring onto a model calibrated under another seed bootstraps
-// it again first, and continues the checkpoint's stream exactly.
+// Restore always bootstraps the model first: a session restoring onto a
+// model calibrated under another seed calibrates it again, and continues
+// the checkpoint's stream exactly.
 TEST_F(HibernationTest, RestoreRecalibratesUnderAnotherIdentity) {
   TenantSpec spec = SpecFor(TenantModelKind::kDistance);
   Tenant source = MaterializeTenant(spec, 11).ValueOrDie();
@@ -263,22 +345,51 @@ TEST_F(HibernationTest, RestoreRecalibratesUnderAnotherIdentity) {
                             resumed.round_log());
 }
 
-// One hibernate + rehydrate cycle moves what the tenant holds — its board
-// values, its round book, the rebuilt strategies and session — not what it
-// could hold: the board is frozen after bootstrap, so nothing may be sized
-// to board_capacity. Bounded at the churn shape (a 40-value board under a
-// 512 cap) and at the paper's game shape (500 values under a 20000 cap).
+// One hibernate + rehydrate cycle moves the tenant's stream state aside and
+// back, so it allocates nothing: no session, strategy or parking slot is
+// built, no board index is rebuilt, nothing is copied. Asserted at both
+// shapes, for survivor-retaining tenants too (their store is emptied in
+// place, not rebuilt by BeginRun()).
 TEST_F(HibernationTest, CycleHeapTrafficScalesWithHeldValuesNotCapacity) {
-  struct Shape {
-    const char* name;
-    size_t round_size;
-    size_t bootstrap_size;
-    size_t board_capacity;
-    uint64_t max_cycle_bytes;
-  };
-  const Shape shapes[] = {{"churn", 30, 40, 512, 8 * 1024},
-                          {"bulk", 500, 500, 20000, 32 * 1024}};
-  for (const Shape& shape : shapes) {
+  for (const Shape& shape : kShapes) {
+    SCOPED_TRACE(shape.name);
+    for (TenantModelKind model : kAllKinds) {
+      for (bool retain : {false, true}) {
+        TenantSpec spec = SpecFor(model);
+        SCOPED_TRACE(spec.name + (retain ? " retaining" : ""));
+        spec.game.round_size = shape.round_size;
+        spec.game.bootstrap_size = shape.bootstrap_size;
+        spec.game.board_capacity = shape.board_capacity;
+        spec.retain_survivors = retain;
+        Tenant tenant = MaterializeTenant(spec, 606).ValueOrDie();
+        ASSERT_TRUE(tenant.session->Bootstrap().ok());
+        for (int cycle = 0; cycle < 3; ++cycle) {
+          ASSERT_TRUE(tenant.session->Step().ok());
+          const bench::AllocCounts before = bench::ThreadAllocCounts();
+          ASSERT_TRUE(HibernateTenant(&tenant).ok());
+          ASSERT_TRUE(RehydrateTenant(&tenant).ok());
+          const bench::AllocCounts cycle_traffic =
+              bench::ThreadAllocCounts() - before;
+          EXPECT_EQ(cycle_traffic.allocations, 0u) << "cycle " << cycle;
+          EXPECT_EQ(cycle_traffic.bytes, 0u) << "cycle " << cycle;
+        }
+        if (!retain) {
+          // The first round after a rehydration re-grows the freed round
+          // buffers; the next one is back on the allocation-free path.
+          ASSERT_TRUE(tenant.session->Step().ok());
+          const bench::AllocCounts before = bench::ThreadAllocCounts();
+          ASSERT_TRUE(tenant.session->Step().ok());
+          EXPECT_EQ((bench::ThreadAllocCounts() - before).allocations, 0u);
+        }
+      }
+    }
+  }
+}
+
+// Parking frees the round-sized buffers and keeps everything else, so a
+// parked tenant holds less than the same tenant resident, at both shapes.
+TEST_F(HibernationTest, ParkedTenantHoldsLessThanResident) {
+  for (const Shape& shape : kShapes) {
     SCOPED_TRACE(shape.name);
     for (TenantModelKind model : kAllKinds) {
       TenantSpec spec = SpecFor(model);
@@ -286,24 +397,87 @@ TEST_F(HibernationTest, CycleHeapTrafficScalesWithHeldValuesNotCapacity) {
       spec.game.round_size = shape.round_size;
       spec.game.bootstrap_size = shape.bootstrap_size;
       spec.game.board_capacity = shape.board_capacity;
-      Tenant tenant = MaterializeTenant(spec, 606).ValueOrDie();
+      Tenant tenant = MaterializeTenant(spec, 607).ValueOrDie();
       ASSERT_TRUE(tenant.session->Bootstrap().ok());
-      for (int cycle = 0; cycle < 3; ++cycle) {
-        ASSERT_TRUE(tenant.session->Step().ok());
-        const bench::AllocCounts before = bench::ThreadAllocCounts();
-        ASSERT_TRUE(HibernateTenant(&tenant).ok());
-        ASSERT_TRUE(RehydrateTenant(&tenant).ok());
-        const bench::AllocCounts cycle_traffic =
-            bench::ThreadAllocCounts() - before;
-        EXPECT_LT(cycle_traffic.bytes, shape.max_cycle_bytes)
-            << "cycle " << cycle << ": " << cycle_traffic.allocations
-            << " allocations";
+      for (int r = 0; r < 3; ++r) ASSERT_TRUE(tenant.session->Step().ok());
+      const size_t resident = ParkedBytes(tenant);
+      ASSERT_TRUE(HibernateTenant(&tenant).ok());
+      const size_t parked = ParkedBytes(tenant);
+      EXPECT_LT(parked, resident);
+      // The held values and the round book moved, they were not dropped.
+      EXPECT_EQ(tenant.hibernated->checkpoint.board.values.size(),
+                shape.bootstrap_size);
+      EXPECT_EQ(tenant.hibernated->checkpoint.records.size(), 3u);
+    }
+  }
+}
+
+// A survivor-retaining tenant accumulates survivors from the rehydration
+// point on, into a store with the same name and shape as after a restore:
+// warm rehydration and a cold materialize-and-restore end with identical
+// stores.
+TEST_F(HibernationTest, RetainedStoreRefillsFromRehydrationPoint) {
+  for (TenantModelKind model : kAllKinds) {
+    TenantSpec spec = SpecFor(model);
+    SCOPED_TRACE(spec.name);
+    spec.retain_survivors = true;
+    Tenant warm = MaterializeTenant(spec, 4322).ValueOrDie();
+    ASSERT_TRUE(warm.session->Bootstrap().ok());
+    for (int r = 0; r < 3; ++r) ASSERT_TRUE(warm.session->Step().ok());
+    ASSERT_TRUE(HibernateTenant(&warm).ok());
+    Tenant cold = MaterializeTenant(warm.spec, warm.config.seed).ValueOrDie();
+    ASSERT_TRUE(cold.session->Restore(warm.hibernated->checkpoint).ok());
+    ASSERT_TRUE(RehydrateTenant(&warm).ok());
+    for (int r = 0; r < 2; ++r) {
+      ASSERT_TRUE(cold.session->Step().ok());
+      ASSERT_TRUE(warm.session->Step().ok());
+    }
+    const ScoreModel* w = warm.model.get();
+    const ScoreModel* c = cold.model.get();
+    switch (model) {
+      case TenantModelKind::kScalar: {
+        const auto& a = dynamic_cast<const IdentityScoreModel&>(*w);
+        const auto& b = dynamic_cast<const IdentityScoreModel&>(*c);
+        EXPECT_FALSE(a.retained().empty());
+        EXPECT_EQ(a.retained(), b.retained());
+        EXPECT_EQ(a.retained_is_poison(), b.retained_is_poison());
+        break;
+      }
+      case TenantModelKind::kDistance: {
+        const auto& a = dynamic_cast<const DistanceScoreModel&>(*w);
+        const auto& b = dynamic_cast<const DistanceScoreModel&>(*c);
+        EXPECT_FALSE(a.retained_data().rows.empty());
+        EXPECT_EQ(a.retained_data().name, b.retained_data().name);
+        EXPECT_EQ(a.retained_data().num_clusters,
+                  b.retained_data().num_clusters);
+        EXPECT_EQ(a.retained_data().rows, b.retained_data().rows);
+        EXPECT_EQ(a.retained_data().labels, b.retained_data().labels);
+        EXPECT_EQ(a.retained_is_poison(), b.retained_is_poison());
+        break;
+      }
+      case TenantModelKind::kLdp: {
+        const auto& a = dynamic_cast<const LdpReportScoreModel&>(*w);
+        const auto& b = dynamic_cast<const LdpReportScoreModel&>(*c);
+        EXPECT_FALSE(a.retained().empty());
+        EXPECT_EQ(a.retained(), b.retained());
+        break;
+      }
+      case TenantModelKind::kResidual: {
+        const auto& a = dynamic_cast<const ResidualScoreModel&>(*w);
+        const auto& b = dynamic_cast<const ResidualScoreModel&>(*c);
+        EXPECT_FALSE(a.retained_data().ys.empty());
+        EXPECT_EQ(a.retained_data().name, b.retained_data().name);
+        EXPECT_EQ(a.retained_data().dims, b.retained_data().dims);
+        EXPECT_EQ(a.retained_data().xs, b.retained_data().xs);
+        EXPECT_EQ(a.retained_data().ys, b.retained_data().ys);
+        EXPECT_EQ(a.retained_is_poison(), b.retained_is_poison());
+        break;
       }
     }
   }
 }
 
-// Repeated park/rebuild cycles — including several in a row with no round
+// Repeated park/unpark cycles — including several in a row with no round
 // in between — accumulate no drift.
 TEST_F(HibernationTest, RepeatedCyclesAccumulateNoDrift) {
   TenantSpec spec = SpecFor(TenantModelKind::kDistance);
