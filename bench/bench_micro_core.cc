@@ -32,17 +32,6 @@ void BM_ExactQuantile(benchmark::State& state) {
 }
 BENCHMARK(BM_ExactQuantile)->Range(1 << 10, 1 << 18);
 
-void BM_P2Quantile(benchmark::State& state) {
-  auto values = RandomValues(static_cast<size_t>(state.range(0)), 2);
-  for (auto _ : state) {
-    P2Quantile est(0.9);
-    for (double v : values) est.Add(v);
-    benchmark::DoNotOptimize(est.Estimate());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_P2Quantile)->Range(1 << 10, 1 << 18);
-
 void BM_TrimAtReferencePercentile(benchmark::State& state) {
   auto reference = RandomValues(10000, 3);
   auto round = RandomValues(static_cast<size_t>(state.range(0)), 4);

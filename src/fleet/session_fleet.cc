@@ -13,9 +13,6 @@ namespace itrim {
 Status FleetConfig::Validate() const {
   if (rounds < 1) return Status::InvalidArgument("rounds must be >= 1");
   if (threads < 0) return Status::InvalidArgument("threads must be >= 0");
-  if (shard_size < 0) {
-    return Status::InvalidArgument("shard_size must be >= 0");
-  }
   return Status::OK();
 }
 
@@ -76,10 +73,8 @@ Status SessionFleet::Materialize() {
   tenants_.clear();
   tenants_.reserve(specs_.size());
   for (size_t i = 0; i < specs_.size(); ++i) {
-    uint64_t seed = config_.derive_tenant_seeds
-                        ? DeriveTenantSeed(config_.seed, i)
-                        : specs_[i].game.seed;
-    Result<Tenant> tenant = MaterializeTenant(specs_[i], seed);
+    Result<Tenant> tenant =
+        MaterializeTenant(specs_[i], DeriveTenantSeed(config_.seed, i));
     if (!tenant.ok()) {
       return TenantStatus(i, specs_[i].name, tenant.status());
     }
@@ -97,7 +92,7 @@ Status SessionFleet::Bootstrap() {
   const size_t n = tenants_.size();
   std::vector<Status> statuses(n);
   ParallelForShards(
-      n, static_cast<size_t>(config_.shard_size),
+      n, /*auto size*/ 0,
       [&](size_t begin, size_t end) {
         for (size_t i = begin; i < end; ++i) {
           statuses[i] = tenants_[i].session->Bootstrap();
@@ -231,8 +226,7 @@ Result<FleetRoundAggregate> SessionFleet::StepRound() {
   if (jobs <= 1 || n == 1) {
     step_range(0, n);
   } else {
-    ParallelForShards(n, static_cast<size_t>(config_.shard_size), step_range,
-                      config_.threads);
+    ParallelForShards(n, /*auto size*/ 0, step_range, config_.threads);
   }
   for (size_t i = 0; i < n; ++i) {
     if (!step_statuses_[i].ok()) {
@@ -412,7 +406,7 @@ Status SessionFleet::Restore(const FleetCheckpoint& checkpoint) {
   const size_t n = tenants_.size();
   std::vector<Status> statuses(n);
   ParallelForShards(
-      n, static_cast<size_t>(config_.shard_size),
+      n, /*auto size*/ 0,
       [&](size_t begin, size_t end) {
         for (size_t i = begin; i < end; ++i) {
           statuses[i] = tenants_[i].session->Restore(checkpoint.sessions[i]);

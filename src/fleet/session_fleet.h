@@ -37,12 +37,9 @@ namespace itrim {
 struct FleetConfig {
   int rounds = 20;   ///< lockstep rounds played by RunToCompletion()
   int threads = 0;   ///< fan-out width; 0 = ITRIM_THREADS / hardware
-  int shard_size = 0;  ///< tenants per scheduling shard; 0 = auto
-  uint64_t seed = 2024;  ///< root of the per-tenant seed derivation
-  /// When true (default), tenant i's session seed is
-  /// DeriveTenantSeed(seed, i); when false, each TenantSpec's own
-  /// game.seed is used verbatim (e.g. to replay one tenant in isolation).
-  bool derive_tenant_seeds = true;
+  /// Root of the per-tenant seeds: tenant i's session seed is
+  /// DeriveTenantSeed(seed, i), whatever its TenantSpec's game.seed says.
+  uint64_t seed = 2024;
 
   Status Validate() const;
 };

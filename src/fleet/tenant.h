@@ -50,10 +50,9 @@ enum class TenantReferenceKind {
 /// Data sources are borrowed and must outlive the fleet; they are shared
 /// read-only across tenants (the LDP mechanism is const and thread-safe,
 /// the attack is not promised to be — give each LDP tenant its own attack
-/// instance when stepping in parallel). The per-tenant `game` seed is
-/// overwritten with a derived stream when the owning fleet's
-/// `derive_tenant_seeds` is set (the default), so tenants never share RNG
-/// streams by accident.
+/// instance when stepping in parallel). A fleet overwrites the per-tenant
+/// `game` seed with DeriveTenantSeed(fleet seed, tenant index), so tenants
+/// never share RNG streams by accident.
 struct TenantSpec {
   std::string name;  ///< optional label surfaced in summaries/errors
   TenantModelKind model = TenantModelKind::kScalar;

@@ -37,18 +37,6 @@ double SquaredResiduals(const RegressionData& data, const LinearModel& model,
   return n > 0 ? sum / static_cast<double>(n) : 0.0;
 }
 
-/// Copies the rows named by `indices` into flat fit buffers.
-void GatherRows(const RegressionData& data, const std::vector<size_t>& indices,
-                std::vector<double>* xs, std::vector<double>* ys) {
-  xs->resize(indices.size() * data.dims);
-  ys->resize(indices.size());
-  for (size_t k = 0; k < indices.size(); ++k) {
-    const double* row = data.xs.data() + indices[k] * data.dims;
-    std::copy(row, row + data.dims, xs->data() + k * data.dims);
-    (*ys)[k] = data.ys[indices[k]];
-  }
-}
-
 // Normal equations of the augmented design [x, 1]: one sequential pass over
 // the rows `row_at(0..n)`, each entry its own running sum in row order (no
 // kernels, no reassociation — the fit is the same bits on every thread
@@ -159,6 +147,37 @@ Status LinearRegressor::FitClosedFormRows(std::span<const double> rows,
       [&](size_t r) {
         const double* row = rows.data() + selected[r] * width;
         return std::pair<const double*, double>(row, row[dims]);
+      },
+      normal_.data(), rhs_.data());
+  return Solve(dims, out);
+}
+
+Status LinearRegressor::FitClosedForm(std::span<const double> xs,
+                                      std::span<const double> ys, size_t dims,
+                                      std::span<const size_t> selected,
+                                      LinearModel* out) {
+  if (dims == 0) return Status::InvalidArgument("FitClosedForm: dims == 0");
+  if (xs.size() != ys.size() * dims) {
+    return Status::InvalidArgument(
+        "FitClosedForm: xs must hold ys.size() * dims doubles");
+  }
+  const size_t n = selected.size();
+  if (n == 0) return Status::InvalidArgument("FitClosedForm: no rows");
+  for (size_t idx : selected) {
+    if (idx >= ys.size()) {
+      return Status::InvalidArgument(
+          "FitClosedForm: selected row index out of range");
+    }
+  }
+  const size_t aug = dims + 1;
+  normal_.assign(aug * aug, 0.0);
+  rhs_.assign(aug, 0.0);
+  AccumulateNormal(
+      n, dims,
+      [&](size_t r) {
+        const size_t idx = selected[r];
+        return std::pair<const double*, double>(xs.data() + idx * dims,
+                                                ys[idx]);
       },
       normal_.data(), rhs_.data());
   return Solve(dims, out);
@@ -415,8 +434,6 @@ Result<TrimResult> TrimDefense(const RegressionData& data,
 
   TrimResult result;
   LinearRegressor regressor;
-  std::vector<double> fit_xs;
-  std::vector<double> fit_ys;
   std::vector<double> r2;
 
   // Initial fit on a random keep_n-subset (the eps_hat = 0 case samples a
@@ -424,9 +441,8 @@ Result<TrimResult> TrimDefense(const RegressionData& data,
   // not depend on the contamination estimate).
   result.kept = rng->SampleWithoutReplacement(n, keep_n);
   std::sort(result.kept.begin(), result.kept.end());
-  GatherRows(data, result.kept, &fit_xs, &fit_ys);
-  ITRIM_RETURN_NOT_OK(
-      regressor.FitClosedForm(fit_xs, fit_ys, data.dims, &result.model));
+  ITRIM_RETURN_NOT_OK(regressor.FitClosedForm(data.xs, data.ys, data.dims,
+                                              result.kept, &result.model));
   result.full_mse = SquaredResiduals(data, result.model, &r2);
 
   if (options.eps_hat == 0.0) {
@@ -444,9 +460,8 @@ Result<TrimResult> TrimDefense(const RegressionData& data,
     result.kept.assign(order.begin(),
                        order.begin() + static_cast<std::ptrdiff_t>(keep_n));
     std::sort(result.kept.begin(), result.kept.end());
-    GatherRows(data, result.kept, &fit_xs, &fit_ys);
-    ITRIM_RETURN_NOT_OK(
-        regressor.FitClosedForm(fit_xs, fit_ys, data.dims, &result.model));
+    ITRIM_RETURN_NOT_OK(regressor.FitClosedForm(data.xs, data.ys, data.dims,
+                                                result.kept, &result.model));
 
     const double new_full = SquaredResiduals(data, result.model, &new_r2);
     double delta = 0.0;

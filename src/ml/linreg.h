@@ -79,6 +79,14 @@ class LinearRegressor {
   Status FitClosedFormRows(std::span<const double> rows, size_t width,
                            std::span<const size_t> selected, LinearModel* out);
 
+  /// \brief The same fit over the rows of flat `xs` / `ys` named by
+  /// `selected`, accumulated in `selected` order. Bit-identical to
+  /// gathering those rows and calling the full FitClosedForm, without the
+  /// copy.
+  Status FitClosedForm(std::span<const double> xs, std::span<const double> ys,
+                       size_t dims, std::span<const size_t> selected,
+                       LinearModel* out);
+
   /// \brief Mini-batch SGD fit; deterministic under `rng` (the epoch
   /// shuffles are the only draws).
   Status FitMiniBatchSgd(std::span<const double> xs,
@@ -91,7 +99,7 @@ class LinearRegressor {
 
  private:
   /// Mirrors the accumulated upper triangle of normal_ and solves the
-  /// (dims+1)-square system into `out`; shared by both closed-form fits.
+  /// (dims+1)-square system into `out`; shared by the closed-form fits.
   Status Solve(size_t dims, LinearModel* out);
 
   // Augmented-design scratch for the closed form: (dims+1)^2 normal matrix

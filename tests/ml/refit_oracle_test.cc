@@ -1,9 +1,10 @@
-// Differential oracle for the fitted-model refit loop: the keyed ordering
-// primitive (ResidualOrder), the row-block fit (FitClosedFormRows) and
-// FittedModelReference::TrimRound are checked bit for bit against the
-// straightforward versions they replaced, kept here as test-local oracles —
-// a comparator std::sort over an index array, a generic normal-equation
-// accumulation over gathered xs / ys, and the gather-then-fit refit loop.
+// Differential oracle for the refit loops: the keyed ordering primitive
+// (ResidualOrder), the index fits (FitClosedFormRows and the selected-rows
+// FitClosedForm), FittedModelReference::TrimRound and TrimDefense are
+// checked bit for bit against the straightforward versions they replaced,
+// kept here as test-local oracles — a comparator std::sort over an index
+// array, a generic normal-equation accumulation over gathered xs / ys, and
+// the gather-then-fit refit loops.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -126,6 +127,79 @@ Status OracleFitRows(std::span<const double> rows, size_t width,
     ys.push_back(row[dims]);
   }
   return OracleFitClosedForm(xs, ys, dims, out);
+}
+
+// Gathers the `selected` rows of flat regression data and fits them with
+// the oracle.
+Status OracleFitSelected(const RegressionData& data,
+                         std::span<const size_t> selected, LinearModel* out) {
+  std::vector<double> xs;
+  std::vector<double> ys;
+  for (size_t idx : selected) {
+    const double* row = data.xs.data() + idx * data.dims;
+    xs.insert(xs.end(), row, row + data.dims);
+    ys.push_back(data.ys[idx]);
+  }
+  return OracleFitClosedForm(xs, ys, data.dims, out);
+}
+
+// Per-row squared residuals of `model` into `r2`; returns their mean.
+double OracleSquaredResiduals(const RegressionData& data,
+                              const LinearModel& model,
+                              std::vector<double>* r2) {
+  const size_t n = data.size();
+  r2->assign(n, 0.0);
+  double sum = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    const double r =
+        data.ys[i] -
+        model.Predict({data.xs.data() + i * data.dims, data.dims});
+    (*r2)[i] = r * r;
+    sum += r * r;
+  }
+  return sum / static_cast<double>(n);
+}
+
+// Oracle TrimDefense: the refit loop as first written — comparator sort,
+// gather, generic fit — drawing the same initial subset from `rng`.
+Status OracleTrimDefense(const RegressionData& data,
+                         const TrimOptions& options, Rng* rng,
+                         TrimResult* result) {
+  const size_t n = data.size();
+  const size_t keep_n = static_cast<size_t>(
+      std::floor(static_cast<double>(n) / (1.0 + options.eps_hat)));
+  result->kept = rng->SampleWithoutReplacement(n, keep_n);
+  std::sort(result->kept.begin(), result->kept.end());
+  ITRIM_RETURN_NOT_OK(OracleFitSelected(data, result->kept, &result->model));
+  std::vector<double> r2;
+  result->full_mse = OracleSquaredResiduals(data, result->model, &r2);
+  if (options.eps_hat == 0.0) {
+    result->kept_mse = result->full_mse;
+    result->iterations = 0;
+    return Status::OK();
+  }
+  std::vector<double> new_r2;
+  for (int iter = 0; iter < options.max_iters; ++iter) {
+    const std::vector<size_t> order = OracleOrder(r2);
+    result->kept.assign(order.begin(),
+                        order.begin() + static_cast<std::ptrdiff_t>(keep_n));
+    std::sort(result->kept.begin(), result->kept.end());
+    ITRIM_RETURN_NOT_OK(
+        OracleFitSelected(data, result->kept, &result->model));
+    const double new_full =
+        OracleSquaredResiduals(data, result->model, &new_r2);
+    double delta = 0.0;
+    for (size_t i = 0; i < n; ++i) delta += std::fabs(r2[i] - new_r2[i]);
+    delta /= static_cast<double>(n);
+    std::swap(r2, new_r2);
+    result->full_mse = new_full;
+    result->iterations = iter + 1;
+    if (delta < options.tol) break;
+  }
+  double kept_sum = 0.0;
+  for (size_t idx : result->kept) kept_sum += r2[idx];
+  result->kept_mse = kept_sum / static_cast<double>(result->kept.size());
+  return Status::OK();
 }
 
 struct OracleTrim {
@@ -289,11 +363,31 @@ TEST(RefitOracleTest, FitClosedFormRowsMatchesGatherThenFit) {
         EXPECT_TRUE(BitEqual(flat.weights[j], expected.weights[j])) << j;
       }
       EXPECT_TRUE(BitEqual(flat.bias, expected.bias));
+
+      // The selected-rows overload over the same block split into flat
+      // xs / ys.
+      std::vector<double> all_xs;
+      std::vector<double> all_ys;
+      for (size_t r = 0; r < rows_n; ++r) {
+        all_xs.insert(all_xs.end(),
+                      rows.begin() + static_cast<std::ptrdiff_t>(r * width),
+                      rows.begin() +
+                          static_cast<std::ptrdiff_t>(r * width + dims));
+        all_ys.push_back(rows[r * width + dims]);
+      }
+      LinearModel by_index;
+      ASSERT_TRUE(
+          regressor.FitClosedForm(all_xs, all_ys, dims, selected, &by_index)
+              .ok());
+      for (size_t j = 0; j < dims; ++j) {
+        EXPECT_TRUE(BitEqual(by_index.weights[j], expected.weights[j])) << j;
+      }
+      EXPECT_TRUE(BitEqual(by_index.bias, expected.bias));
     }
   }
 }
 
-TEST(RefitOracleTest, FitClosedFormRowsRejectsBadShapes) {
+TEST(RefitOracleTest, IndexFitsRejectBadShapes) {
   LinearRegressor regressor;
   LinearModel out;
   const std::vector<double> rows = {1.0, 2.0, 3.0, 4.0, 5.0, 6.0};
@@ -310,6 +404,20 @@ TEST(RefitOracleTest, FitClosedFormRowsRejectsBadShapes) {
   // One distinct row cannot pin a slope and an intercept.
   const std::vector<size_t> repeated = {1, 1, 1};
   EXPECT_EQ(regressor.FitClosedFormRows(rows, 2, repeated, &out).code(),
+            StatusCode::kFailedPrecondition);
+
+  // The selected-rows FitClosedForm over flat xs / ys.
+  const std::vector<double> xs = {1.0, 2.0, 3.0};
+  const std::vector<double> ys = {4.0, 5.0, 6.0};
+  EXPECT_EQ(regressor.FitClosedForm(xs, ys, 0, ok_rows, &out).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(regressor.FitClosedForm(xs, ys, 2, ok_rows, &out).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(regressor.FitClosedForm(xs, ys, 1, {}, &out).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(regressor.FitClosedForm(xs, ys, 1, out_of_range, &out).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(regressor.FitClosedForm(xs, ys, 1, repeated, &out).code(),
             StatusCode::kFailedPrecondition);
 }
 
@@ -368,6 +476,61 @@ TEST(RefitOracleTest, TrimRoundMatchesGatherThenFitLoop) {
       EXPECT_EQ(outcome.removed_count, n - expected.kept_count);
       EXPECT_TRUE(BitEqual(outcome.cutoff, expected.cutoff));
     }
+  }
+}
+
+// TrimDefense against the oracle loop: clean and poisoned sets, the
+// eps_hat = 0 no-op, one-shot and iterated refits, a tolerance that never
+// stops early, and a set too small to fit (the status must agree).
+TEST(RefitOracleTest, TrimDefenseMatchesGatherThenFitLoop) {
+  struct Case {
+    size_t n;
+    size_t dims;
+    double eps;  // planted contamination (0 = clean)
+    double eps_hat;
+    int max_iters;
+    double tol;
+  };
+  const Case cases[] = {
+      {200, 1, 0.0, 0.0, 20, 1e-4},   {200, 1, 0.1, 0.1, 20, 1e-4},
+      {300, 3, 0.2, 0.2, 1, 1e-4},    {300, 3, 0.2, 0.1, 20, 0.0},
+      {500, 6, 0.12, 0.14, 20, 1e-4}, {64, 9, 0.1, 0.24, 5, 0.0},
+      {1000, 2, 0.16, 0.16, 8, 1e-9}, {5, 6, 0.0, 0.2, 20, 1e-4},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE("n=" + std::to_string(c.n) + " dims=" +
+                 std::to_string(c.dims) + " eps_hat=" +
+                 std::to_string(c.eps_hat) + " max_iters=" +
+                 std::to_string(c.max_iters));
+    LinearModel truth;
+    RegressionData data =
+        MakeSyntheticRegression(c.n, c.dims, 0.1, 60 + c.n + c.dims, &truth);
+    Rng poison_rng(c.n);
+    FlipShiftPoison(&data, truth, c.eps, 3.0, &poison_rng);
+    TrimOptions options;
+    options.eps_hat = c.eps_hat;
+    options.max_iters = c.max_iters;
+    options.tol = c.tol;
+
+    Rng oracle_rng(7);
+    TrimResult expected;
+    const Status oracle =
+        OracleTrimDefense(data, options, &oracle_rng, &expected);
+    Rng rng(7);
+    Result<TrimResult> got = TrimDefense(data, options, &rng);
+    ASSERT_EQ(got.status().code(), oracle.code());
+    if (!got.ok()) continue;
+    const TrimResult& result = got.ValueOrDie();
+    EXPECT_EQ(result.kept, expected.kept);
+    EXPECT_EQ(result.iterations, expected.iterations);
+    ASSERT_EQ(result.model.weights.size(), c.dims);
+    for (size_t j = 0; j < c.dims; ++j) {
+      EXPECT_TRUE(BitEqual(result.model.weights[j], expected.model.weights[j]))
+          << j;
+    }
+    EXPECT_TRUE(BitEqual(result.model.bias, expected.model.bias));
+    EXPECT_TRUE(BitEqual(result.full_mse, expected.full_mse));
+    EXPECT_TRUE(BitEqual(result.kept_mse, expected.kept_mse));
   }
 }
 
