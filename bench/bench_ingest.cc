@@ -17,9 +17,10 @@
 //      against bench/baselines/BENCH_ingest.json.
 //   3. Rehydration per model kind (`rehydrate/<model>`): tenants of one
 //      kind are parked and rehydrated one at a time, reporting the
-//      rehydration p50/p90, the parked bytes per tenant (the kept session,
-//      strategies, reference and calibrated score model plus the parked
-//      stream state; see ParkedBytes) and the heap traffic of one
+//      rehydration p50/p90, the resident bytes per tenant (ParkedBytes
+//      before the tenant's first park), the parked bytes per tenant (the
+//      kept session, strategies, reference and calibrated score model plus
+//      the parked stream state; see ParkedBytes) and the heap traffic of one
 //      hibernate + rehydrate cycle (bytes and allocations requested, mean
 //      over every cycle). A cycle parks in place, so any allocation in it
 //      fails the binary.
@@ -329,6 +330,7 @@ SustainedResult RunSustained(IngestFixture* fixture, size_t tenants,
 struct RehydrateResult {
   std::vector<double> rehydrate_us;  ///< one sample per rehydration
   double total_ms = 0.0;
+  double resident_bytes_per_tenant = 0.0;  ///< before the first park
   double parked_bytes_per_tenant = 0.0;
   double cycle_alloc_bytes = 0.0;  ///< mean per hibernate + rehydrate
   double cycle_allocations = 0.0;  ///< mean per hibernate + rehydrate
@@ -354,10 +356,14 @@ RehydrateResult RunRehydrate(IngestFixture* fixture, TenantModelKind model,
     if (!fleet.StepTenant(i).ok()) return result;
   }
   result.rehydrate_us.reserve(tenants * static_cast<size_t>(cycles));
+  double resident_bytes = 0.0;
   double parked_bytes = 0.0;
   bench::AllocCounts cycle_traffic;
   for (int c = 0; c < cycles; ++c) {
     for (size_t i = 0; i < tenants; ++i) {
+      if (c == 0) {
+        resident_bytes += static_cast<double>(ParkedBytes(fleet.tenant(i)));
+      }
       const bench::AllocCounts before = bench::ThreadAllocCounts();
       if (!fleet.HibernateTenant(i).ok()) return result;
       if (c == 0) {
@@ -376,6 +382,8 @@ RehydrateResult RunRehydrate(IngestFixture* fixture, TenantModelKind model,
       if (!fleet.StepTenant(i).ok()) return result;
     }
   }
+  result.resident_bytes_per_tenant =
+      resident_bytes / static_cast<double>(tenants);
   result.parked_bytes_per_tenant =
       parked_bytes / static_cast<double>(tenants);
   const double cycle_count = static_cast<double>(result.rehydrate_us.size());
@@ -474,14 +482,16 @@ int main(int argc, char** argv) {
         .Counter("tenants", static_cast<double>(rehydrate_tenants))
         .Counter("p50_us", p50)
         .Counter("p90_us", p90)
+        .Counter("resident_bytes_per_tenant", r.resident_bytes_per_tenant)
         .Counter("parked_bytes_per_tenant", r.parked_bytes_per_tenant)
         .Counter("cycle_alloc_bytes", r.cycle_alloc_bytes)
         .Counter("cycle_allocations", r.cycle_allocations);
     std::printf("rehydrate/%s: %zu rehydrations, p50 %.2f us, p90 %.2f us, "
-                "%.0f parked bytes/tenant, %.0f bytes in %.1f allocations "
-                "per cycle\n",
+                "%.0f resident / %.0f parked bytes/tenant, %.0f bytes in "
+                "%.1f allocations per cycle\n",
                 TenantModelKindName(kind).c_str(), r.rehydrate_us.size(),
-                p50, p90, r.parked_bytes_per_tenant, r.cycle_alloc_bytes,
+                p50, p90, r.resident_bytes_per_tenant,
+                r.parked_bytes_per_tenant, r.cycle_alloc_bytes,
                 r.cycle_allocations);
     if (r.cycle_allocations != 0.0) {
       std::fprintf(stderr,

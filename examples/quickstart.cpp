@@ -7,6 +7,7 @@
 // TrimmingSession API — Bootstrap() fixes the clean percentile reference,
 // each Step() plays one round as it "arrives" and reports the interaction
 // live, Finish() closes the book.
+#include <cinttypes>
 #include <cstdio>
 
 #include "common/rng.h"
@@ -53,7 +54,8 @@ int main() {
                    record.status().ToString().c_str());
       return 1;
     }
-    std::printf("%5d    %.4f      %.4f      %4zu/%zu      %3zu/%zu\n",
+    std::printf("%5d    %.4f      %.4f      %4" PRIu32 "/%" PRIu32
+                "      %3" PRIu32 "/%" PRIu32 "\n",
                 record->round, record->collector_percentile,
                 record->injection_percentile, record->benign_kept,
                 record->benign_received, record->poison_kept,

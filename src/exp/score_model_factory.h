@@ -48,7 +48,9 @@ struct ScoreModelInputs {
   /// attack_ratio and scheme, which the caller owns).
   LdpAttack* ldp_attack = nullptr;
   double ldp_tth = 0.9;  ///< kLdp: nominal threshold of the band trim
-  const RegressionData* regression = nullptr;  ///< kResidual
+  /// kResidual. Borrowed, not copied: the model reads it on every benign
+  /// draw, so it must outlive the model and stay unchanged.
+  const RegressionData* regression = nullptr;
   PoisonShape regression_poison = PoisonShape::kFlipShift;  ///< kResidual
 };
 

@@ -437,8 +437,8 @@ FleetRoundAggregate SessionFleet::ReduceRound(
     aggregate.poison_received += record.poison_received;
     aggregate.benign_kept += record.benign_kept;
     aggregate.poison_kept += record.poison_kept;
-    size_t received = record.benign_received + record.poison_received;
-    size_t kept = record.benign_kept + record.poison_kept;
+    size_t received = size_t{record.benign_received} + record.poison_received;
+    size_t kept = size_t{record.benign_kept} + record.poison_kept;
     reduce_trim_rates_.push_back(SafeRatio(received - kept, received));
     reduce_acceptances_.push_back(SafeRatio(record.poison_kept,
                                             record.poison_received));

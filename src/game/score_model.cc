@@ -190,7 +190,6 @@ Status DistanceScoreModel::Bootstrap(size_t bootstrap_size, Rng* rng,
     bootstrap.push_back(source_->rows[rng->UniformInt(source_->rows.size())]);
   }
   ITRIM_ASSIGN_OR_RETURN(position_map_, PositionMap::Build(bootstrap));
-  centroid_ = position_map_.centroid();
   // Board seeding and the source-score cache both run through the batched
   // kernel sweep; the doubles match per-row scoring exactly (the kernel
   // shares the canonical distance with PositionOfRow). Rows are scored
@@ -375,7 +374,7 @@ size_t DistanceScoreModel::FootprintBytes() const {
   for (const std::vector<double>& row : retained_.rows) {
     retained_rows += CapacityBytes(row);
   }
-  return sizeof(*this) + position_map_.HeapBytes() + CapacityBytes(centroid_) +
+  return sizeof(*this) + position_map_.HeapBytes() +
          CapacityBytes(direction_) + CapacityBytes(source_scores_) +
          CapacityBytes(poison_row_scratch_) + CapacityBytes(row_data_) +
          CapacityBytes(index_scratch_) + CapacityBytes(labels_) +

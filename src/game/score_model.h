@@ -343,7 +343,9 @@ class DistanceScoreModel : public ScoreModel {
     return retained_is_poison_;
   }
   /// \brief Reference centroid fixed from the clean bootstrap sample.
-  const std::vector<double>& reference_centroid() const { return centroid_; }
+  const std::vector<double>& reference_centroid() const {
+    return position_map_.centroid();
+  }
   /// \brief The percentile geometry built from the bootstrap (valid after
   /// Bootstrap()).
   const PositionMap& position_map() const { return position_map_; }
@@ -363,7 +365,6 @@ class DistanceScoreModel : public ScoreModel {
   bool labeled_ = false;
   size_t dims_ = 0;
   PositionMap position_map_;
-  std::vector<double> centroid_;
   std::vector<double> direction_;
   /// PositionOfRow of every source row, fixed once Bootstrap() builds the
   /// geometry: benign arrivals are source rows sampled with replacement,

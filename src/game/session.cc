@@ -18,8 +18,19 @@ namespace itrim {
 Status GameConfig::Validate() const {
   if (rounds < 1) return Status::InvalidArgument("rounds must be >= 1");
   if (round_size == 0) return Status::InvalidArgument("round_size must be > 0");
-  if (attack_ratio < 0.0) {
-    return Status::InvalidArgument("attack_ratio must be >= 0");
+  // RoundRecord counts a round's arrivals in 32 bits.
+  constexpr double kMaxRoundCount = std::numeric_limits<uint32_t>::max();
+  if (static_cast<double>(round_size) > kMaxRoundCount) {
+    return Status::InvalidArgument("round_size must be <= UINT32_MAX");
+  }
+  if (!std::isfinite(attack_ratio) || attack_ratio < 0.0) {
+    return Status::InvalidArgument("attack_ratio must be finite and >= 0");
+  }
+  // A round's poison is floor(attack_ratio * round_size + carried quota),
+  // and the carried quota is below 1.
+  if (attack_ratio * static_cast<double>(round_size) + 1.0 > kMaxRoundCount) {
+    return Status::InvalidArgument(
+        "attack_ratio * round_size must stay below UINT32_MAX");
   }
   if (!(tth > 0.0 && tth < 1.0)) {
     return Status::InvalidArgument("tth must be in (0,1)");
@@ -58,7 +69,7 @@ double GameSummary::PoisonSurvivalRate() const {
 
 size_t GameSummary::TotalKept() const {
   size_t n = 0;
-  for (const auto& r : rounds) n += r.benign_kept + r.poison_kept;
+  for (const auto& r : rounds) n += size_t{r.benign_kept} + r.poison_kept;
   return n;
 }
 
@@ -115,8 +126,9 @@ RoundObservation ObservationFromRecord(const RoundRecord& record) {
                           record.collector_percentile,
                           record.injection_percentile,
                           record.quality,
-                          record.benign_received + record.poison_received,
-                          record.benign_kept + record.poison_kept,
+                          size_t{record.benign_received} +
+                              record.poison_received,
+                          size_t{record.benign_kept} + record.poison_kept,
                           record.poison_received,
                           record.poison_kept};
 }

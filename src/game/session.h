@@ -75,7 +75,9 @@ struct SessionObs {
 struct GameConfig {
   int rounds = 20;              ///< number of collection rounds
   size_t round_size = 500;      ///< benign samples per round
-  double attack_ratio = 0.1;    ///< poison count = attack_ratio * round_size
+  /// Poison count = attack_ratio * round_size (fractions carry over);
+  /// finite, >= 0, and small enough that a round's poison fits 32 bits.
+  double attack_ratio = 0.1;
   double tth = 0.9;             ///< nominal threshold percentile
   size_t bootstrap_size = 500;  ///< clean board seed (round 0)
   size_t board_capacity = 20000;  ///< reservoir cap (0 = unbounded)
@@ -88,17 +90,22 @@ struct GameConfig {
 };
 
 /// \brief Per-round bookkeeping of one game run.
+///
+/// The four counters are 32-bit: GameConfig::Validate() bounds a round's
+/// benign and poison counts by UINT32_MAX, and every session's round book,
+/// checkpoint and fleet record copy holds one of these per round.
 struct RoundRecord {
   int round = 0;
   double collector_percentile = kNoTrim;
   double injection_percentile = 0.0;  ///< mean over this round's poison
   double cutoff = 0.0;
   double quality = 1.0;
-  size_t benign_received = 0;
-  size_t poison_received = 0;
-  size_t benign_kept = 0;
-  size_t poison_kept = 0;
+  uint32_t benign_received = 0;
+  uint32_t poison_received = 0;
+  uint32_t benign_kept = 0;
+  uint32_t poison_kept = 0;
 };
+static_assert(sizeof(RoundRecord) <= 56, "RoundRecord grew past 56 bytes");
 
 /// \brief Outcome of a full game run.
 struct GameSummary {

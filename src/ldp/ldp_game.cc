@@ -14,23 +14,6 @@
 
 namespace itrim {
 
-Status LdpGameConfig::Validate() const {
-  if (rounds < 1) return Status::InvalidArgument("rounds must be >= 1");
-  if (users_per_round == 0) {
-    return Status::InvalidArgument("users_per_round must be > 0");
-  }
-  if (attack_ratio < 0.0) {
-    return Status::InvalidArgument("attack_ratio must be >= 0");
-  }
-  if (!(tth > 0.0 && tth < 1.0)) {
-    return Status::InvalidArgument("tth must be in (0,1)");
-  }
-  if (bootstrap_size == 0) {
-    return Status::InvalidArgument("bootstrap_size must be > 0");
-  }
-  return Status::OK();
-}
-
 namespace {
 
 // The LDP ScoreModel lives in ldp/report_score_model.h so fleet tenants
@@ -51,6 +34,14 @@ GameConfig SessionConfig(const LdpGameConfig& config) {
 }
 
 }  // namespace
+
+Status LdpGameConfig::Validate() const {
+  if (users_per_round == 0) {
+    return Status::InvalidArgument("users_per_round must be > 0");
+  }
+  // Every other field maps one to one onto the engine's configuration.
+  return SessionConfig(*this).Validate();
+}
 
 LdpCollectionGame::LdpCollectionGame(LdpGameConfig config,
                                      const std::vector<double>* population,

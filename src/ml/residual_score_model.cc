@@ -39,16 +39,6 @@ Status ResidualScoreModel::Bootstrap(size_t bootstrap_size, Rng* rng,
   const size_t n_source = source_->size();
   const size_t dims = source_->dims;
 
-  // Interleave the source into [x..., y] blocks once: benign arrivals then
-  // copy whole rows, and the residual kernel sweeps the block directly.
-  flat_rows_.resize(n_source * width_);
-  for (size_t i = 0; i < n_source; ++i) {
-    double* row = flat_rows_.data() + i * width_;
-    std::copy(source_->xs.data() + i * dims,
-              source_->xs.data() + (i + 1) * dims, row);
-    row[dims] = source_->ys[i];
-  }
-
   // The clean calibration sample fixes the reference fit and seeds the
   // board with its residual magnitudes — the percentile coordinate of this
   // setting is a clean-residual quantile.
@@ -56,18 +46,15 @@ Status ResidualScoreModel::Bootstrap(size_t bootstrap_size, Rng* rng,
   for (size_t& idx : sample) {
     idx = static_cast<size_t>(rng->UniformInt(n_source));
   }
-  ITRIM_RETURN_NOT_OK(
-      regressor_.FitClosedFormRows(flat_rows_, width_, sample, &reference_));
-
-  // Cache every source row's residual score (benign arrivals are source
-  // rows sampled with replacement, so their scores become table lookups —
-  // the doubles are the exact same kernel computation). The calibration
-  // sample's board entries are lookups too.
-  source_scores_.resize(n_source);
-  kernels::AbsResidualsToModel(flat_rows_.data(), n_source, width_,
-                               reference_.weights.data(), reference_.bias,
-                               source_scores_.data());
-  for (size_t idx : sample) board->RecordOne(source_scores_[idx]);
+  ITRIM_RETURN_NOT_OK(regressor_.FitClosedForm(source_->xs, source_->ys, dims,
+                                               sample, &reference_));
+  for (size_t idx : sample) {
+    const double prediction =
+        kernels::LaneDot(reference_.weights.data(),
+                         source_->xs.data() + idx * dims, dims) +
+        reference_.bias;
+    board->RecordOne(std::fabs(source_->ys[idx] - prediction));
+  }
 
   // Highest-leverage source row (max feature distance to the mean, lowest
   // index on ties) for the leverage poison shape.
@@ -107,16 +94,25 @@ std::span<double> ResidualScoreModel::NextRowSlot() {
 void ResidualScoreModel::AppendBenignBatch(size_t count, Rng* rng) {
   index_scratch_.resize(count);
   rng->FillUniformInt(source_->size(), index_scratch_.data(), count);
+  const size_t dims = width_ - 1;
+  const size_t first = rows_used_;
   for (size_t i = 0; i < count; ++i) {
     const size_t idx = static_cast<size_t>(index_scratch_[i]);
     // Rows are always materialized: observations() must expose the round
     // for model-in-the-loop trim references regardless of retention.
-    const double* row = flat_rows_.data() + idx * width_;
+    const double* x = source_->xs.data() + idx * dims;
     std::span<double> slot = NextRowSlot();
-    std::copy(row, row + width_, slot.begin());
-    scores_.push_back(source_scores_[idx]);
-    is_poison_.push_back(0);
+    std::copy(x, x + dims, slot.begin());
+    slot[dims] = source_->ys[idx];
   }
+  // One residual sweep over the new rows (bit-identical to per-row LaneDot
+  // scoring by the kernel contract).
+  const size_t old = scores_.size();
+  scores_.resize(old + count);
+  kernels::AbsResidualsToModel(row_data_.data() + first * width_, count,
+                               width_, reference_.weights.data(),
+                               reference_.bias, scores_.data() + old);
+  is_poison_.insert(is_poison_.end(), count, 0);
 }
 
 Status ResidualScoreModel::AppendBenignBatch(std::span<const double> obs) {
@@ -163,12 +159,12 @@ Status ResidualScoreModel::AppendPoison(double position, Rng* rng,
     sign = 1.0;
   }
   const size_t dims = width_ - 1;
-  const double* x = flat_rows_.data() + idx * width_;
+  const double* x = source_->xs.data() + idx * dims;
   std::span<double> slot = NextRowSlot();
   std::copy(x, x + dims, slot.begin());
   slot[dims] = reference_.Predict({x, dims}) + sign * magnitude;
-  // Score through the scalar definition — bit-identical to the cached
-  // batch scores by the LaneDot contract.
+  // Score through the scalar definition — bit-identical to the batched
+  // benign sweep by the LaneDot contract.
   scores_.push_back(ScoreObservation(slot));
   is_poison_.push_back(1);
   return Status::OK();
@@ -218,8 +214,7 @@ void ResidualScoreModel::Commit(std::span<const char> keep) {
 }
 
 void ResidualScoreModel::ReleaseRoundBuffers() {
-  // Kept: the reference fit, the interleaved source rows and their cached
-  // scores.
+  // Kept: the reference fit and the leverage row index.
   FreeVector(&row_data_);
   rows_used_ = 0;
   FreeVector(&index_scratch_);
@@ -234,7 +229,6 @@ size_t ResidualScoreModel::FootprintBytes() const {
   // The closed-form regressor's (dims+1)^2 normal-equation scratch is
   // internal to LinearRegressor and not counted.
   return sizeof(*this) + CapacityBytes(reference_.weights) +
-         CapacityBytes(flat_rows_) + CapacityBytes(source_scores_) +
          CapacityBytes(row_data_) + CapacityBytes(index_scratch_) +
          CapacityBytes(scores_) + CapacityBytes(is_poison_) +
          CapacityBytes(retained_.xs) + CapacityBytes(retained_.ys) +

@@ -11,11 +11,12 @@
 // flip-and-shift attack shape); the leverage variant plants it on the
 // highest-leverage feature row instead of a random one.
 //
-// The model always materializes its round rows in a flat pooled block and
-// exposes them through observations(): that is what lets a
-// FittedModelReference (game/reference_policy.h) refit on the round's
-// survivors — the model-in-the-loop generalization of the interactive
-// protocol. With the default PercentileReference the model behaves like
+// The model always materializes its round rows in a flat pooled block
+// (benign rows are copied out of the borrowed source and scored in one
+// batched residual sweep per round) and exposes them through
+// observations(): that is what lets a FittedModelReference
+// (game/reference_policy.h) refit on the round's survivors — the
+// model-in-the-loop generalization of the interactive protocol. With the default PercentileReference the model behaves like
 // the scalar settings, trimming at the board's residual quantile.
 #ifndef ITRIM_ML_RESIDUAL_SCORE_MODEL_H_
 #define ITRIM_ML_RESIDUAL_SCORE_MODEL_H_
@@ -52,7 +53,10 @@ const char* PoisonShapeName(PoisonShape shape);
 
 /// \brief Regression data setting of the TrimmingSession engine.
 ///
-/// `source` is borrowed; benign arrivals sample its rows with replacement.
+/// `source` is borrowed, never copied: the bootstrap fit, every benign draw
+/// and every poison row read its xs / ys directly, so it must outlive the
+/// model and stay unchanged while the model runs (a fleet of residual
+/// tenants shares one source instead of holding a copy each).
 class ResidualScoreModel : public ScoreModel {
  public:
   explicit ResidualScoreModel(const RegressionData* source,
@@ -109,13 +113,6 @@ class ResidualScoreModel : public ScoreModel {
   size_t width_ = 0;  ///< dims + 1, fixed by BeginRun()
   LinearRegressor regressor_;
   LinearModel reference_;
-  /// Source rows interleaved as [x..., y] blocks of width_, built once per
-  /// run: benign arrivals are single memcpys out of it, and the batched
-  /// residual kernel sweeps it directly.
-  std::vector<double> flat_rows_;
-  /// |residual| of every source row against the reference fit, cached at
-  /// bootstrap via one kernel sweep (bit-identical to scoring on arrival).
-  std::vector<double> source_scores_;
   size_t leverage_row_ = 0;  ///< argmax feature distance to the mean
   std::vector<double> row_data_;         ///< flat round pool, width_ per row
   size_t rows_used_ = 0;

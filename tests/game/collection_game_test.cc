@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "common/rng.h"
 #include "data/generators.h"
@@ -38,6 +40,25 @@ TEST(GameConfigTest, Validation) {
   EXPECT_FALSE(c.Validate().ok());
   c = SmallConfig();
   c.attack_ratio = -0.1;
+  EXPECT_FALSE(c.Validate().ok());
+  c = SmallConfig();
+  c.attack_ratio = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_FALSE(c.Validate().ok());
+  c = SmallConfig();
+  c.attack_ratio = std::numeric_limits<double>::infinity();
+  EXPECT_FALSE(c.Validate().ok());
+  c = SmallConfig();
+  c.round_size = size_t{std::numeric_limits<uint32_t>::max()} + 1;
+  EXPECT_FALSE(c.Validate().ok());
+  c = SmallConfig();
+  c.attack_ratio = 1e12;
+  EXPECT_FALSE(c.Validate().ok());
+  // The largest poison count plus a carried quota below 1 still fits.
+  c = SmallConfig();
+  c.round_size = 1000;
+  c.attack_ratio = (std::numeric_limits<uint32_t>::max() - 1.0) / 1000.0;
+  EXPECT_TRUE(c.Validate().ok());
+  c.attack_ratio = (std::numeric_limits<uint32_t>::max() - 0.5) / 1000.0;
   EXPECT_FALSE(c.Validate().ok());
   c = SmallConfig();
   c.tth = 1.0;

@@ -872,6 +872,23 @@ TEST(TrimmingSessionTest, RejectsEachInvalidConfigField) {
   config.attack_ratio = -0.5;
   expect_rejected(config, "attack_ratio");
   config = GameConfig{};
+  config.attack_ratio = std::numeric_limits<double>::quiet_NaN();
+  expect_rejected(config, "attack_ratio NaN");
+  config = GameConfig{};
+  config.attack_ratio = std::numeric_limits<double>::infinity();
+  expect_rejected(config, "attack_ratio +inf");
+  // A round's counts must fit RoundRecord's 32-bit counters.
+  config = GameConfig{};
+  config.round_size = size_t{std::numeric_limits<uint32_t>::max()} + 1;
+  expect_rejected(config, "round_size above UINT32_MAX");
+  config = GameConfig{};
+  config.attack_ratio = 1e7;  // 5e9 poison per 500-row round
+  expect_rejected(config, "poison per round above UINT32_MAX");
+  config = GameConfig{};
+  config.round_size = 1000;
+  config.attack_ratio = (std::numeric_limits<uint32_t>::max() - 0.5) / 1000.0;
+  expect_rejected(config, "poison plus carried quota above UINT32_MAX");
+  config = GameConfig{};
   config.tth = 1.0;
   expect_rejected(config, "tth upper");
   config = GameConfig{};
@@ -910,6 +927,15 @@ TEST(TrimmingSessionTest, LdpGameSurfacesEachInvalidConfigField) {
   config = LdpGameConfig{};
   config.attack_ratio = -1.0;
   expect_rejected(config, "attack_ratio");
+  config = LdpGameConfig{};
+  config.attack_ratio = std::numeric_limits<double>::quiet_NaN();
+  expect_rejected(config, "attack_ratio NaN");
+  config = LdpGameConfig{};
+  config.attack_ratio = std::numeric_limits<double>::infinity();
+  expect_rejected(config, "attack_ratio +inf");
+  config = LdpGameConfig{};
+  config.attack_ratio = 1e10;
+  expect_rejected(config, "poison per round above UINT32_MAX");
   config = LdpGameConfig{};
   config.tth = 1.5;
   expect_rejected(config, "tth");

@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -82,6 +84,94 @@ TEST(ResidualScoreModelTest, RejectsDegenerateSources) {
   no_dims.ys = {1.0, 2.0};
   ResidualScoreModel zero_dims(&no_dims);
   EXPECT_EQ(zero_dims.BeginRun().code(), StatusCode::kFailedPrecondition);
+}
+
+// |y - (LaneDot(w, x) + b)|: the residual score written out per row.
+double RowResidual(const LinearModel& model, const double* x, size_t dims,
+                   double y) {
+  return std::fabs(
+      y - (kernels::LaneDot(model.weights.data(), x, dims) + model.bias));
+}
+
+// Every round's scores — benign rows copied out of the borrowed source and
+// scored in one kernel sweep, poison rows scored one by one — equal the
+// per-row residual over observations(), for both poison shapes and both
+// kernel variants.
+TEST(ResidualScoreModelTest, RoundScoresEqualPerRowResidualOverObservations) {
+  RegressionData source = MakeSyntheticRegression(350, 5, 0.1, 23);
+  const size_t dims = source.dims;
+  for (PoisonShape shape : {PoisonShape::kFlipShift, PoisonShape::kLeverage}) {
+    for (Variant variant : {Variant::kGeneric, Variant::kVector}) {
+      SCOPED_TRACE(std::string(PoisonShapeName(shape)) + "/" +
+                   kernels::VariantName(variant));
+      VariantGuard guard;
+      kernels::ForceVariant(variant);
+      ResidualScoreModel model(&source, shape);
+      ElasticCollector collector(0.5);
+      FlipShiftAdversary adversary;
+      TrimmingSession session(ResidualConfig(29), &model, &collector,
+                              &adversary, nullptr);
+      ASSERT_TRUE(session.Bootstrap().ok());
+      const LinearModel& fit = model.reference_model();
+      for (int round = 1; round <= 6; ++round) {
+        ASSERT_TRUE(session.Step().ok());
+        std::span<const double> scores = model.scores();
+        std::span<const double> rows = model.observations();
+        ASSERT_EQ(rows.size(), scores.size() * (dims + 1));
+        size_t poison = 0;
+        for (size_t i = 0; i < scores.size(); ++i) {
+          const double* row = rows.data() + i * (dims + 1);
+          EXPECT_TRUE(BitEqual(scores[i], RowResidual(fit, row, dims,
+                                                      row[dims])))
+              << "round " << round << " row " << i;
+          poison += model.is_poison()[i] != 0;
+        }
+        EXPECT_GT(poison, 0u);
+      }
+    }
+  }
+}
+
+// The board seeded at bootstrap holds exactly the per-row residual of each
+// calibration sample row, in draw order.
+TEST(ResidualScoreModelTest, BootstrapSeedsBoardWithSampleResiduals) {
+  RegressionData source = MakeSyntheticRegression(300, 3, 0.1, 37);
+  const size_t dims = source.dims;
+  const size_t kSample = 90;
+  ResidualScoreModel model(&source);
+  Rng rng(13);
+  PublicBoard board;
+  ASSERT_TRUE(model.BeginRun().ok());
+  ASSERT_TRUE(model.Bootstrap(kSample, &rng, &board).ok());
+
+  Rng replay(13);  // the sample's draws, replayed
+  std::vector<double> expected;
+  for (size_t i = 0; i < kSample; ++i) {
+    const size_t idx = static_cast<size_t>(replay.UniformInt(source.size()));
+    expected.push_back(RowResidual(model.reference_model(),
+                                   source.xs.data() + idx * dims, dims,
+                                   source.ys[idx]));
+  }
+  ASSERT_EQ(board.values().size(), kSample);
+  for (size_t i = 0; i < kSample; ++i) {
+    EXPECT_TRUE(BitEqual(board.values()[i], expected[i])) << "sample " << i;
+  }
+}
+
+// The source is borrowed, never copied: a bootstrapped model's footprint
+// does not grow with the source's row count.
+TEST(ResidualScoreModelTest, FootprintIndependentOfSourceSize) {
+  RegressionData small = MakeSyntheticRegression(600, 4, 0.1, 41);
+  RegressionData large = MakeSyntheticRegression(6000, 4, 0.1, 41);
+  auto bootstrapped_footprint = [](const RegressionData* source) {
+    ResidualScoreModel model(source);
+    Rng rng(3);
+    PublicBoard board;
+    EXPECT_TRUE(model.BeginRun().ok());
+    EXPECT_TRUE(model.Bootstrap(200, &rng, &board).ok());
+    return model.FootprintBytes();
+  };
+  EXPECT_EQ(bootstrapped_footprint(&small), bootstrapped_footprint(&large));
 }
 
 // A full session under each (adversary, reference) pairing runs to
