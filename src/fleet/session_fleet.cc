@@ -1,6 +1,7 @@
 #include "fleet/session_fleet.h"
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 #include <utility>
 
@@ -376,14 +377,20 @@ Status SessionFleet::Restore(const FleetCheckpoint& checkpoint) {
       }
     }
     // Board snapshot compatibility with this tenant's configured board —
-    // the same check PublicBoard::Restore enforces, hoisted here so it
-    // rejects before any session has been rebuilt.
+    // the same checks PublicBoard::Restore enforces, hoisted here so they
+    // reject before any session has been rebuilt.
     const size_t capacity = specs_[i].game.board_capacity;
     if (capacity != 0 && session.board.values.size() > capacity) {
       return Status::InvalidArgument(
           "checkpoint session #" + std::to_string(i) + " board snapshot "
           "holds " + std::to_string(session.board.values.size()) +
           " values for a board of capacity " + std::to_string(capacity));
+    }
+    if (std::any_of(session.board.values.begin(), session.board.values.end(),
+                    [](double v) { return std::isnan(v); })) {
+      return Status::InvalidArgument("checkpoint session #" +
+                                     std::to_string(i) +
+                                     " board snapshot holds a NaN value");
     }
     if (session.board.total_recorded < session.board.values.size()) {
       return Status::InvalidArgument(

@@ -110,8 +110,8 @@ struct TenantHibernation {
 /// A tenant is either *resident* (its session steppable) or *hibernated*
 /// (its stream state parked in `hibernated`, its round-sized buffers
 /// freed); HibernateTenant/RehydrateTenant flip between the two. Every
-/// object lives in both states: the session with its board index and
-/// attached observability sinks, the strategies, the reference and the
+/// object lives in both states: the session with its board's sorted array
+/// and attached observability sinks, the strategies, the reference and the
 /// calibrated score model. Parking therefore replays nothing and rebuilds
 /// nothing.
 struct Tenant {
@@ -146,9 +146,9 @@ Result<Tenant> MaterializeTenant(const TenantSpec& spec, uint64_t seed);
 
 /// \brief Parks a quiet tenant in place: moves its session's stream state
 /// into `hibernated` (TrimmingSession::Park) and frees its round-sized
-/// buffers. The session, strategies, reference, board index and the model's
-/// calibration stay. Requires a resident, bootstrapped tenant. Allocates
-/// nothing.
+/// buffers. The session, strategies, reference, the board's sorted array
+/// and the model's calibration stay. Requires a resident, bootstrapped
+/// tenant. Allocates nothing.
 Status HibernateTenant(Tenant* tenant);
 
 /// \brief Moves a hibernated tenant's parked stream state back into its
@@ -160,9 +160,10 @@ Status HibernateTenant(Tenant* tenant);
 Status RehydrateTenant(Tenant* tenant);
 
 /// \brief Bytes a tenant holds in its current state: the session (object,
-/// board values and index, round book, round scratch), the strategies, the
-/// owned reference, the score model (ScoreModel::FootprintBytes) and the
-/// parking slot with what it holds. Borrowed data sources are not counted.
+/// board values and sorted array, round book, round scratch), the
+/// strategies, the owned reference, the score model
+/// (ScoreModel::FootprintBytes) and the parking slot with what it holds.
+/// Borrowed data sources are not counted.
 /// Parking frees only round-sized buffers, so a parked tenant counts less
 /// than the same tenant resident.
 size_t ParkedBytes(const Tenant& tenant);

@@ -21,6 +21,11 @@ Result<PositionMap> PositionMap::Build(
     if (row.size() != dims) {
       return Status::InvalidArgument("ragged sample matrix");
     }
+    // A NaN feature would make the centroid and every grid distance NaN.
+    if (std::any_of(row.begin(), row.end(),
+                    [](double v) { return std::isnan(v); })) {
+      return Status::InvalidArgument("sample matrix holds a NaN");
+    }
   }
   PositionMap map;
   map.centroid_ = Centroid(sample);

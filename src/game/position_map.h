@@ -37,7 +37,8 @@ class PositionMap {
   /// Creates an empty map; populate it via Build().
   PositionMap() = default;
 
-  /// \brief Builds the map from a clean sample (>= 2 rows, uniform width).
+  /// \brief Builds the map from a clean sample (>= 2 rows, uniform width,
+  /// no NaN).
   static Result<PositionMap> Build(
       const std::vector<std::vector<double>>& sample);
 

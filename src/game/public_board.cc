@@ -1,7 +1,12 @@
 #include "game/public_board.h"
 
+#include <algorithm>
+#include <cassert>
+#include <cmath>
 #include <string>
 #include <utility>
+
+#include "stats/quantile.h"
 
 namespace itrim {
 
@@ -13,37 +18,40 @@ void PublicBoard::Record(const std::vector<double>& values) {
 }
 
 void PublicBoard::RecordOne(double value) {
+  // A NaN could be inserted but never found again by the erase below.
+  assert(!std::isnan(value));
   ++total_recorded_;
   if (capacity_ == 0 || values_.size() < capacity_) {
     values_.push_back(value);
-    flat_.Insert(value);
   } else {
     // Reservoir sampling keeps the board an unbiased sample of everything
     // ever recorded while bounding memory.
     size_t j = static_cast<size_t>(rng_.UniformInt(total_recorded_));
-    if (j < capacity_) {
-      flat_.EraseOne(values_[j]);
-      values_[j] = value;
-      flat_.Insert(value);
-    }
+    if (j >= capacity_) return;
+    sorted_.erase(
+        std::lower_bound(sorted_.begin(), sorted_.end(), values_[j]));
+    values_[j] = value;
   }
+  // Upper-bound placement keeps equal keys in arrival order.
+  sorted_.insert(std::upper_bound(sorted_.begin(), sorted_.end(), value),
+                 value);
 }
 
 Result<double> PublicBoard::Quantile(double q) const {
   if (values_.empty()) {
     return Status::FailedPrecondition("public board is empty");
   }
-  return flat_.Quantile(q);
+  return QuantileSorted(sorted_, q);
 }
 
 double PublicBoard::PercentileRank(double x) const {
   if (values_.empty()) return 0.0;
-  return flat_.PercentileRank(x);
+  return PercentileRankSorted(sorted_, x);
 }
 
 void PublicBoard::Clear() {
   values_.clear();
-  flat_.Clear();
+  sorted_.clear();
   total_recorded_ = 0;
 }
 
@@ -64,11 +72,15 @@ Status PublicBoard::CheckCapacity(const Snapshot& snapshot) const {
 
 Status PublicBoard::Restore(const Snapshot& snapshot) {
   ITRIM_RETURN_NOT_OK(CheckCapacity(snapshot));
+  if (std::any_of(snapshot.values.begin(), snapshot.values.end(),
+                  [](double v) { return std::isnan(v); })) {
+    return Status::InvalidArgument("board snapshot holds a NaN value");
+  }
   values_ = snapshot.values;
   total_recorded_ = snapshot.total_recorded;
   rng_.Restore(snapshot.rng);
-  flat_.Clear();
-  for (double v : values_) flat_.Insert(v);
+  sorted_ = values_;
+  std::stable_sort(sorted_.begin(), sorted_.end());
   return Status::OK();
 }
 
@@ -81,10 +93,11 @@ void PublicBoard::Park(Snapshot* out) {
 
 Status PublicBoard::Unpark(Snapshot* parked) {
   ITRIM_RETURN_NOT_OK(CheckCapacity(*parked));
-  if (parked->values.size() != flat_.size()) {
+  if (parked->values.size() != sorted_.size()) {
     return Status::InvalidArgument(
         "parked board holds " + std::to_string(parked->values.size()) +
-        " values but its kept index holds " + std::to_string(flat_.size()));
+        " values but its kept sorted array holds " +
+        std::to_string(sorted_.size()));
   }
   values_ = std::move(parked->values);
   parked->values.clear();
@@ -94,7 +107,7 @@ Status PublicBoard::Unpark(Snapshot* parked) {
 }
 
 size_t PublicBoard::HeapBytes() const {
-  return values_.capacity() * sizeof(double) + flat_.HeapBytes();
+  return (values_.capacity() + sorted_.capacity()) * sizeof(double);
 }
 
 }  // namespace itrim

@@ -11,19 +11,23 @@
 // strategies, not in reference drift.
 //
 // In the engine the board is therefore frozen after bootstrap: only the
-// score models' Bootstrap() records into it, and Step() only reads it.
-// Storage is sized to what the board holds, not to its capacity — nothing
-// is reserved up front; the values and the index grow while the bootstrap
-// records and then stay put. A session checkpoint carries the values only;
-// Restore() rebuilds the index by re-inserting them in slot order. A parked
-// session (TrimmingSession::Park) moves the values out and keeps the index,
-// so Unpark() moves them back without rebuilding anything.
+// score models' Bootstrap() records into it, and Step() only reads it. So
+// the board is one ascending array (`sorted_`) beside the values in
+// reservoir slot order (`values_`): a quantile is O(1) and a percentile
+// rank O(log n), both answered by the sorted oracle itself
+// (QuantileSorted / PercentileRankSorted), so they are exact by
+// construction. A record costs O(n) (a binary search and one memmove),
+// paid only while the bootstrap fills the board. Equal keys are placed by
+// upper bound, so recording values one by one builds their stable sort.
 //
-// Order statistics are served by a FlatOrderBoard (sorted 64-double leaves
-// over a Fenwick-counted flat index, cache-local): O(log n) per operation
-// and *bit-identical* to the sorted-oracle semantics (QuantileSorted /
-// PercentileRankSorted) for every reachable multiset — see
-// flat_order_board.h for the contract.
+// Storage is sized to what the board holds; nothing is reserved up front.
+// A session checkpoint carries the values only; Restore() rebuilds the
+// sorted array with one stable sort of the slot order, the array that
+// recording them in slot order builds. A parked session
+// (TrimmingSession::Park) moves the values out and keeps the sorted array,
+// so Unpark() moves them back without sorting anything. NaN is never
+// recorded: the score models refuse a NaN score at bootstrap and Restore()
+// refuses a snapshot holding one.
 #ifndef ITRIM_GAME_PUBLIC_BOARD_H_
 #define ITRIM_GAME_PUBLIC_BOARD_H_
 
@@ -32,12 +36,11 @@
 
 #include "common/rng.h"
 #include "common/status.h"
-#include "game/flat_order_board.h"
 
 namespace itrim {
 
 /// \brief Append-only record of retained scalar observations with
-/// incremental quantile queries.
+/// exact quantile queries.
 ///
 /// Memory is bounded by reservoir downsampling once `capacity` is exceeded;
 /// quantiles are computed exactly over the (possibly downsampled) record.
@@ -49,7 +52,7 @@ class PublicBoard {
   /// \brief Records a batch of retained values.
   void Record(const std::vector<double>& values);
 
-  /// \brief Records one retained value.
+  /// \brief Records one retained value; `value` must not be NaN.
   void RecordOne(double value);
 
   /// \brief q-quantile (q in [0,1]) of the recorded distribution.
@@ -72,36 +75,35 @@ class PublicBoard {
   void Clear();
 
   /// \brief Serializable board state for session checkpointing. The
-  /// order-statistic index is not part of it: Restore re-inserts the values
-  /// in slot order, so the subsequent stream is identical.
+  /// sorted array is not part of it: Restore sorts the values again.
   struct Snapshot {
     std::vector<double> values;
     size_t total_recorded = 0;
     Rng::Snapshot rng;
   };
 
-  /// \brief Captures the current state (the order-statistic index is
-  /// rebuilt on Restore, not stored).
+  /// \brief Captures the current state (the sorted array is rebuilt on
+  /// Restore, not stored).
   Snapshot Save() const;
 
   /// \brief Restores a previously captured state. Errors (leaving the
-  /// board untouched) when the snapshot holds more values than this
-  /// board's configured capacity — a snapshot from a differently
+  /// board untouched) when the snapshot holds a NaN or more values than
+  /// this board's configured capacity — a snapshot from a differently
   /// configured source board.
   Status Restore(const Snapshot& snapshot);
 
   /// \brief Moves the held values (not a copy), the record count and the
-  /// RNG state into `out`. The order-statistic index stays, so the board
+  /// RNG state into `out`. The sorted array stays, so the board
   /// answers no value queries until Unpark() moves the values back.
   void Park(Snapshot* out);
 
   /// \brief Moves parked values back from `parked`. Errors (moving
   /// nothing) unless the values fit the capacity and their count equals
-  /// what the kept index holds.
+  /// what the kept sorted array holds.
   Status Unpark(Snapshot* parked);
 
-  /// \brief Heap bytes the board holds: its values and its index, by
-  /// capacity.
+  /// \brief Heap bytes the board holds: its values and its sorted array,
+  /// by capacity.
   size_t HeapBytes() const;
 
  private:
@@ -111,8 +113,8 @@ class PublicBoard {
   size_t capacity_;
   size_t total_recorded_ = 0;
   Rng rng_;
-  std::vector<double> values_;
-  FlatOrderBoard flat_;
+  std::vector<double> values_;  ///< reservoir slot order
+  std::vector<double> sorted_;  ///< the same values, ascending
 };
 
 }  // namespace itrim

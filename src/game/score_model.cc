@@ -77,7 +77,12 @@ Status IdentityScoreModel::BeginRun() {
 Status IdentityScoreModel::Bootstrap(size_t bootstrap_size, Rng* rng,
                                      PublicBoard* board) {
   for (size_t i = 0; i < bootstrap_size; ++i) {
-    board->RecordOne((*benign_pool_)[rng->UniformInt(benign_pool_->size())]);
+    const double value =
+        (*benign_pool_)[rng->UniformInt(benign_pool_->size())];
+    if (std::isnan(value)) {
+      return Status::InvalidArgument("benign pool value is NaN");
+    }
+    board->RecordOne(value);
   }
   return Status::OK();
 }
@@ -213,6 +218,9 @@ Status DistanceScoreModel::Bootstrap(size_t bootstrap_size, Rng* rng,
   std::vector<double> positions(bootstrap_size);
   score_rows(bootstrap, positions);
   for (double p : positions) {
+    if (std::isnan(p)) {
+      return Status::InvalidArgument("bootstrap position score is NaN");
+    }
     board->RecordOne(p);
   }
   source_scores_.resize(source_->rows.size());

@@ -34,7 +34,7 @@
 // hibernation): its round book and the board's values move out into a
 // SessionCheckpoint, its round-sized scratch is freed, and the strategies,
 // the quality evaluator, the reference, the model's calibration and the
-// board's order index stay as they are. Nothing is replayed on Unpark, so
+// board's sorted array stay as they are. Nothing is replayed on Unpark, so
 // parking is exact for every strategy, those two included.
 #ifndef ITRIM_GAME_SESSION_H_
 #define ITRIM_GAME_SESSION_H_
@@ -198,7 +198,7 @@ class TrimmingSession {
   /// the previous observation and the session and board RNG states, and
   /// frees the round-sized scratch (trim buffers, the reference's refit
   /// scratch, ScoreModel::ReleaseRoundBuffers). The strategies, the
-  /// reference, the model's calibration and the board's order index are
+  /// reference, the model's calibration and the board's sorted array are
   /// left untouched. Requires a bootstrapped, unparked session; a parked
   /// session is not steppable until Unpark(). Allocates nothing.
   Status Park(SessionCheckpoint* out);
@@ -206,8 +206,8 @@ class TrimmingSession {
   /// \brief Moves the stream state parked in `parked` back, with no
   /// strategy replay and no board rebuild; the stream continues
   /// bit-identically to never having parked. Checks first that the board
-  /// values fit the capacity and match the kept index's count and that the
-  /// book holds next_round - 1 records; on a mismatch returns
+  /// values fit the capacity and match the kept sorted array's count and
+  /// that the book holds next_round - 1 records; on a mismatch returns
   /// InvalidArgument and moves nothing (the session stays parked).
   /// Allocates nothing.
   Status Unpark(SessionCheckpoint* parked);
@@ -216,7 +216,7 @@ class TrimmingSession {
   bool parked() const { return parked_; }
 
   /// \brief Bytes this session holds: the object, its board (values and
-  /// index), its round book and its round scratch, by capacity. The
+  /// sorted array), its round book and its round scratch, by capacity. The
   /// borrowed model, strategies and reference are not counted.
   size_t FootprintBytes() const;
 

@@ -21,7 +21,11 @@ Status LdpReportScoreModel::Bootstrap(size_t bootstrap_size, Rng* rng,
   // (the calibration sample behind Algorithm 1's QE(X0)).
   for (size_t i = 0; i < bootstrap_size; ++i) {
     double x = (*population_)[rng->UniformInt(population_->size())];
-    board->RecordOne(mechanism_->Perturb(x, rng));
+    const double report = mechanism_->Perturb(x, rng);
+    if (std::isnan(report)) {
+      return Status::InvalidArgument("bootstrap report is NaN");
+    }
+    board->RecordOne(report);
   }
   return Status::OK();
 }

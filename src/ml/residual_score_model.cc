@@ -53,7 +53,11 @@ Status ResidualScoreModel::Bootstrap(size_t bootstrap_size, Rng* rng,
         kernels::LaneDot(reference_.weights.data(),
                          source_->xs.data() + idx * dims, dims) +
         reference_.bias;
-    board->RecordOne(std::fabs(source_->ys[idx] - prediction));
+    const double residual = std::fabs(source_->ys[idx] - prediction);
+    if (std::isnan(residual)) {
+      return Status::InvalidArgument("bootstrap residual is NaN");
+    }
+    board->RecordOne(residual);
   }
 
   // Highest-leverage source row (max feature distance to the mean, lowest

@@ -347,7 +347,7 @@ TEST_F(HibernationTest, RestoreRecalibratesUnderAnotherIdentity) {
 
 // One hibernate + rehydrate cycle moves the tenant's stream state aside and
 // back, so it allocates nothing: no session, strategy or parking slot is
-// built, no board index is rebuilt, nothing is copied. Asserted at both
+// built, no board is re-sorted, nothing is copied. Asserted at both
 // shapes, for survivor-retaining tenants too (their store is emptied in
 // place, not rebuilt by BeginRun()).
 TEST_F(HibernationTest, CycleHeapTrafficScalesWithHeldValuesNotCapacity) {

@@ -256,6 +256,13 @@ TEST_F(SessionFleetTest, RestoreRejectsOversizedBoardSnapshot) {
     EXPECT_EQ(fleet.Restore(shrunk).code(), StatusCode::kInvalidArgument);
   }
 
+  // A NaN could never be erased from the board again: refused up front.
+  FleetCheckpoint poisoned = checkpoint;
+  ASSERT_FALSE(poisoned.sessions[1].board.values.empty());
+  poisoned.sessions[1].board.values[0] = std::nan("");
+  EXPECT_EQ(fleet.Restore(poisoned).code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(fleet.bootstrapped());
+
   ASSERT_TRUE(fleet.Restore(checkpoint).ok());
 }
 

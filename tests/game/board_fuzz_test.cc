@@ -1,33 +1,30 @@
-// Differential fuzzing of the flat order-statistic board against the
-// sorted oracle, concentrated on the path the unit tests cover least: the
-// board_capacity reservoir boundary, where every record past capacity
-// becomes an EraseOne(old slot value) + Insert(new value) pair on the index
-// while the multiset size stays pinned at the cap.
+// Differential fuzzing of the public board against the sorted oracle,
+// concentrated on the path the unit tests cover least: the board_capacity
+// reservoir boundary, where every record past capacity replaces one held
+// value (erase the old slot value, insert the new one) while the multiset
+// size stays pinned at the cap.
 //
-// The interleavings are adversarial rather than uniform: monotone runs
-// (degenerate insertion orders for a balanced tree, leaf-split stress for
-// the flat board), duplicate floods (equal-key split/merge ties), sign-
-// flipping extremes (interpolation across huge gaps), and hover loops that
-// keep the size oscillating exactly at the boundary. Every check is exact —
-// bitwise agreement with QuantileSorted / PercentileRankSorted over the
-// same multiset — so any divergence, however small, is a board bug, not
-// noise.
+// The value streams are adversarial rather than uniform: monotone runs
+// (every insert lands at one end of the sorted array), duplicate floods
+// (equal-key placement ties), sign-flipping extremes (interpolation across
+// huge gaps), plus Clear() + refill and Save/Restore mid-stream. Every
+// check is exact — bitwise agreement with QuantileSorted /
+// PercentileRankSorted over the same multiset — so any divergence, however
+// small, is a board bug, not noise.
 //
-// ITRIM_BOARD_FUZZ_OPS scales the per-case op count (default 1200 / 900).
+// ITRIM_BOARD_FUZZ_OPS scales the per-case op count (default 900).
 // The sanitizer CI leg runs a short-iteration variant through this knob so
-// ASan/UBSan still sweep the leaf memmove / rebalance paths without paying
+// ASan/UBSan still sweep the replacement and restore paths without paying
 // the full differential budget.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
-#include "game/flat_order_board.h"
 #include "game/public_board.h"
 #include "stats/quantile.h"
 
@@ -80,7 +77,7 @@ double DrawValue(ValuePattern pattern, size_t step, Rng* rng) {
     case ValuePattern::kDescending:
       return -static_cast<double>(step) - rng->Uniform() * 0.25;
     case ValuePattern::kDuplicateFlood:
-      // Five distinct keys only: every split/merge hits equal-key ties.
+      // Five distinct keys only: every insert lands among equal keys.
       return static_cast<double>(rng->UniformInt(5));
     case ValuePattern::kSignFlipExtremes:
       return (step % 2 == 0 ? 1.0 : -1.0) *
@@ -89,87 +86,9 @@ double DrawValue(ValuePattern pattern, size_t step, Rng* rng) {
   return 0.0;
 }
 
-// Exhaustive check of one multiset state against the sorted oracle,
-// bitwise: every k, every boundary q, and ranks probed at the stored values
-// themselves (the <= tie path) plus nudges on both sides.
-void CheckAllOrderStatistics(const FlatOrderBoard& flat,
-                             std::vector<double> mirror) {
-  std::sort(mirror.begin(), mirror.end());
-  ASSERT_EQ(flat.size(), mirror.size());
-  if (mirror.empty()) {
-    EXPECT_FALSE(flat.Quantile(0.5).ok());
-    EXPECT_TRUE(BitEqual(flat.PercentileRank(0.0), 0.0));
-    return;
-  }
-  for (size_t k = 0; k < mirror.size(); ++k) {
-    ASSERT_TRUE(BitEqual(flat.Kth(k), mirror[k])) << "k=" << k;
-  }
-  const size_t n = mirror.size();
-  std::vector<double> probes = {0.0, 1.0, 0.5};
-  for (size_t i = 0; i < n; ++i) {
-    // The prctile interpolation knots (i + 0.5) / n and the raw ranks.
-    probes.push_back((static_cast<double>(i) + 0.5) / static_cast<double>(n));
-    probes.push_back(static_cast<double>(i) / static_cast<double>(n));
-  }
-  for (double q : probes) {
-    const double want = QuantileSorted(mirror, q);
-    ASSERT_TRUE(BitEqual(flat.Quantile(q).ValueOrDie(), want)) << "q=" << q;
-  }
-  for (size_t i = 0; i < n; ++i) {
-    for (double x : {mirror[i], std::nextafter(mirror[i], 1e308),
-                     std::nextafter(mirror[i], -1e308)}) {
-      const double want = PercentileRankSorted(mirror, x);
-      ASSERT_TRUE(BitEqual(flat.PercentileRank(x), want)) << "x=" << x;
-    }
-  }
-}
-
 class BoardFuzzTest : public ::testing::TestWithParam<ValuePattern> {};
 
-// Phase 1: the raw index under reservoir-shaped churn. Fill to a boundary
-// B, then hover: each op replaces a random resident value (EraseOne +
-// Insert — the exact call pair PublicBoard::RecordOne issues past
-// capacity), with occasional dips below and bursts above the boundary.
-TEST_P(BoardFuzzTest, ReservoirShapedChurnMatchesSortedOracle) {
-  const ValuePattern pattern = GetParam();
-  SCOPED_TRACE(PatternName(pattern));
-  const int ops = FuzzOps(1200);
-  for (size_t boundary : {1u, 2u, 3u, 8u, 33u}) {
-    SCOPED_TRACE("boundary " + std::to_string(boundary));
-    FlatOrderBoard flat;
-    std::vector<double> mirror;  // unsorted multiset mirror
-    Rng rng(1000 + boundary);
-    size_t step = 0;
-    for (int op = 0; op < ops; ++op) {
-      double roll = rng.Uniform();
-      if (mirror.size() < boundary ||
-          (roll < 0.15 && mirror.size() < 2 * boundary)) {
-        double v = DrawValue(pattern, step++, &rng);
-        flat.Insert(v);
-        mirror.push_back(v);
-      } else if (roll < 0.85 || mirror.empty()) {
-        // The replacement pair, against a random resident slot.
-        size_t slot = static_cast<size_t>(rng.UniformInt(mirror.size()));
-        ASSERT_TRUE(flat.EraseOne(mirror[slot]));
-        double v = DrawValue(pattern, step++, &rng);
-        flat.Insert(v);
-        mirror[slot] = v;
-      } else {
-        // Dip below the boundary.
-        size_t slot = static_cast<size_t>(rng.UniformInt(mirror.size()));
-        ASSERT_TRUE(flat.EraseOne(mirror[slot]));
-        mirror[slot] = mirror.back();
-        mirror.pop_back();
-      }
-      if (op % 37 == 0 || mirror.size() == boundary) {
-        CheckAllOrderStatistics(flat, mirror);
-      }
-    }
-    CheckAllOrderStatistics(flat, mirror);
-  }
-}
-
-// Phase 2: PublicBoard end to end at tiny capacities, checked after every
+// Phase 1: PublicBoard end to end at tiny capacities, checked after every
 // single record while the stream crosses the boundary — the first
 // replacement, the steady state, and a mid-stream Clear + refill. A plain
 // reservoir mirror driven by an Rng of the same seed makes the identical
@@ -183,7 +102,7 @@ TEST_P(BoardFuzzTest, PublicBoardAtReservoirBoundaryMatchesSortedOracle) {
   for (size_t capacity : {1u, 2u, 3u, 7u, 64u}) {
     SCOPED_TRACE("capacity " + std::to_string(capacity));
     const uint64_t seed = capacity * 31 + 7;
-    PublicBoard flat(capacity, seed);
+    PublicBoard board(capacity, seed);
     std::vector<double> reservoir;
     size_t reservoir_total = 0;
     Rng reservoir_rng(seed);
@@ -191,13 +110,13 @@ TEST_P(BoardFuzzTest, PublicBoardAtReservoirBoundaryMatchesSortedOracle) {
     size_t step = 0;
     for (int op = 0; op < ops; ++op) {
       if (op == clear_at) {
-        flat.Clear();
+        board.Clear();
         reservoir.clear();
         reservoir_total = 0;
-        EXPECT_EQ(flat.size(), 0u);
+        EXPECT_EQ(board.size(), 0u);
       }
       double v = DrawValue(pattern, step++, &rng);
-      flat.RecordOne(v);
+      board.RecordOne(v);
       ++reservoir_total;
       if (reservoir.size() < capacity) {
         reservoir.push_back(v);
@@ -205,34 +124,34 @@ TEST_P(BoardFuzzTest, PublicBoardAtReservoirBoundaryMatchesSortedOracle) {
         uint64_t j = reservoir_rng.UniformInt(reservoir_total);
         if (j < capacity) reservoir[static_cast<size_t>(j)] = v;
       }
-      ASSERT_LE(flat.size(), capacity);
-      ASSERT_EQ(flat.values(), reservoir);  // same reservoir decisions
-      std::vector<double> sorted = flat.values();
+      ASSERT_LE(board.size(), capacity);
+      ASSERT_EQ(board.values(), reservoir);  // same reservoir decisions
+      std::vector<double> sorted = board.values();
       std::sort(sorted.begin(), sorted.end());
       double q = rng.Uniform();
       const double want_q = QuantileSorted(sorted, q);
-      ASSERT_TRUE(BitEqual(flat.Quantile(q).ValueOrDie(), want_q));
-      ASSERT_TRUE(BitEqual(flat.Quantile(0.0).ValueOrDie(), sorted.front()));
-      ASSERT_TRUE(BitEqual(flat.Quantile(1.0).ValueOrDie(), sorted.back()));
+      ASSERT_TRUE(BitEqual(board.Quantile(q).ValueOrDie(), want_q));
+      ASSERT_TRUE(BitEqual(board.Quantile(0.0).ValueOrDie(), sorted.front()));
+      ASSERT_TRUE(BitEqual(board.Quantile(1.0).ValueOrDie(), sorted.back()));
       double x = sorted[rng.UniformInt(sorted.size())];
       const double want_x = PercentileRankSorted(sorted, x);
-      ASSERT_TRUE(BitEqual(flat.PercentileRank(x), want_x));
-      ASSERT_TRUE(BitEqual(flat.PercentileRank(x - 0.5),
+      ASSERT_TRUE(BitEqual(board.PercentileRank(x), want_x));
+      ASSERT_TRUE(BitEqual(board.PercentileRank(x - 0.5),
                            PercentileRankSorted(sorted, x - 0.5)));
     }
     // The reservoir really did engage: far more arrived than is held.
-    EXPECT_EQ(flat.size(),
+    EXPECT_EQ(board.size(),
               std::min<size_t>(capacity, static_cast<size_t>(clear_at)));
-    EXPECT_EQ(flat.total_recorded(), static_cast<size_t>(clear_at));
+    EXPECT_EQ(board.total_recorded(), static_cast<size_t>(clear_at));
   }
 }
 
-// Phase 3: Save/Restore inside the reservoir stream. At random points the
+// Phase 2: Save/Restore inside the reservoir stream. At random points the
 // bounded board is snapshotted and restored into a fresh board of the same
 // capacity (constructed under another seed, so the reservoir Rng must come
 // from the snapshot); both then keep recording the same values, so the
-// restored index must track the original through the reservoir's
-// EraseOne/Insert churn.
+// restored sorted array must track the original through the reservoir's
+// replacement churn.
 TEST_P(BoardFuzzTest, SaveRestoreMidReservoirStreamStaysBitIdentical) {
   const ValuePattern pattern = GetParam();
   SCOPED_TRACE(PatternName(pattern));

@@ -28,6 +28,9 @@
 #include "ldp/attacks.h"
 #include "ldp/ldp_game.h"
 #include "ldp/mechanism.h"
+#include "ldp/report_score_model.h"
+#include "ml/linreg.h"
+#include "ml/residual_score_model.h"
 #include "stats/quantile.h"
 
 #include "game/summary_test_util.h"
@@ -40,10 +43,9 @@ namespace {
 // --------------------------------------------------------------------------
 
 // Replica of the seed PublicBoard: full re-sort on the first query after an
-// invalidating record. Deliberately independent of FlatOrderBoard so this
-// file checks the refactor end to end. bench/bench_micro_board.cc carries
-// its own copy of this frozen transcription — both are snapshots of the
-// seed code and must never diverge from it (or each other).
+// invalidating record. Deliberately independent of PublicBoard's sorted
+// array so this file checks the refactor end to end. It is a snapshot of
+// the seed code and must never diverge from it.
 class LegacySortBoard {
  public:
   explicit LegacySortBoard(size_t capacity, uint64_t seed)
@@ -800,6 +802,65 @@ TEST(TrimmingSessionTest, CheckpointRestoreResumesBitIdentically) {
   for (int i = 0; i < 6; ++i) ASSERT_TRUE(resumed.Step().ok());
 
   ExpectSummaryBitIdentical(full, resumed.Finish());
+}
+
+// The board is frozen after bootstrap: only the score model's Bootstrap()
+// records into it, which is the traffic that lets PublicBoard pay O(n) per
+// record. Pinned for every model kind across steps, a Park/Unpark cycle,
+// and a Restore followed by more steps. The capacity sits below the
+// bootstrap size so the calibration itself runs reservoir replacements.
+TEST(TrimmingSessionTest, BoardIsFrozenAfterBootstrapForEveryModelKind) {
+  const std::vector<double> pool = UniformPool(2000, 5);
+  const Dataset data = MakeControl(41, 40);
+  const std::vector<double> population = UniformPool(2000, 31);
+  const PiecewiseMechanism mechanism(2.0);
+  InputManipulationAttack attack(1.0);
+  const RegressionData regression =
+      MakeSyntheticRegression(600, 3, 0.05, 47);
+  GameConfig config;
+  config.round_size = 40;
+  config.bootstrap_size = 80;
+  config.board_capacity = 64;
+  config.attack_ratio = 0.2;
+  config.seed = 23;
+
+  IdentityScoreModel scalar(&pool);
+  DistanceScoreModel distance(&data);
+  LdpReportScoreModel ldp(&population, &mechanism, &attack, config.tth);
+  ResidualScoreModel residual(&regression);
+  for (ScoreModel* model :
+       std::vector<ScoreModel*>{&scalar, &distance, &ldp, &residual}) {
+    SCOPED_TRACE(model->name());
+    ElasticCollector collector(0.5);
+    ElasticAdversary adversary(0.5);
+    TrimmingSession session(config, model, &collector, &adversary, nullptr);
+    ASSERT_TRUE(session.Bootstrap().ok());
+    const size_t recorded = session.board().total_recorded();
+    const std::vector<double> values = session.board().values();
+    EXPECT_EQ(recorded, config.bootstrap_size);
+    ASSERT_EQ(values.size(), config.board_capacity);
+    auto expect_frozen = [&](const char* when) {
+      SCOPED_TRACE(when);
+      EXPECT_EQ(session.board().total_recorded(), recorded);
+      EXPECT_EQ(session.board().values(), values);
+    };
+
+    for (int i = 0; i < 4; ++i) ASSERT_TRUE(session.Step().ok());
+    expect_frozen("after steps");
+
+    SessionCheckpoint parked;
+    ASSERT_TRUE(session.Park(&parked).ok());
+    ASSERT_TRUE(session.Unpark(&parked).ok());
+    expect_frozen("after park/unpark");
+    for (int i = 0; i < 2; ++i) ASSERT_TRUE(session.Step().ok());
+    expect_frozen("after steps past park/unpark");
+
+    const SessionCheckpoint checkpoint = session.Checkpoint();
+    ASSERT_TRUE(session.Restore(checkpoint).ok());
+    expect_frozen("after restore");
+    for (int i = 0; i < 3; ++i) ASSERT_TRUE(session.Step().ok());
+    expect_frozen("after steps past restore");
+  }
 }
 
 // --------------------------------------------------------------------------
